@@ -445,22 +445,18 @@ def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
     m = traj.states.shape[1]
     pairs = [(n, r) for n in range(m) for r in range(n, m)]
     header = ["t"]
+    columns = [traj.times]
     for n, r in pairs:
         header += [f"re_rho_{n + 1}_{r + 1}", f"im_rho_{n + 1}_{r + 1}"]
+        columns += [traj.states[:, n, r].real, traj.states[:, n, r].imag]
     header += ["population_2", "coherence_12", "leakage"]
+    columns += [traj.population_2, traj.coherence_12, traj.leakage]
+    # '%.17g' % x gives the same text as _fmt(x) for every double
+    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        pop = traj.population_2
-        coh = traj.coherence_12
-        leak = traj.leakage
-        for k, t in enumerate(traj.times):
-            row = [_fmt(t)]
-            for n, r in pairs:
-                z = traj.states[k, n, r]
-                row += [_fmt(z.real), _fmt(z.imag)]
-            row += [_fmt(pop[k]), _fmt(coh[k]), _fmt(leak[k])]
-            writer.writerow(row)
+        fh.write(",".join(header) + "\n")
+        for row in np.column_stack(columns):
+            fh.write(row_format % tuple(row))
 
 
 def write_rates_json(
@@ -474,6 +470,8 @@ def write_rates_json(
         "warnings": list(rates.warnings),
         "max_trace_drift": traj.max_trace_drift,
         "max_hermiticity_defect": traj.max_hermiticity_defect,
+        "history_modes": traj.history_modes,
+        "mode_error": traj.mode_error,
         "config_hash": scenario.config_hash(),
     }
     with open(path, "w", newline="") as fh:

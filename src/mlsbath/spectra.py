@@ -17,6 +17,12 @@ The noise correlator is the retarded transform
 evaluated from closed forms for the rectangular and Lorentzian families
 and by adaptive oscillatory quadrature otherwise.  The value stored at
 ``tau = 0`` is the one-sided limit ``F(0+) = area``.
+
+For the integrator's history sums, :func:`correlator_modes` writes a
+closed-form correlator on a finite grid as a sum of exponentials
+``F(tau) = sum_q c_q e^(lambda_q tau)`` (the Lorentzian decomposition of
+Meier & Tannor, J. Chem. Phys. 111, 3365 (1999)), checked in max norm
+against the tabulated correlator.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from typing import Union
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
+from scipy.special import roots_legendre
 
 __all__ = [
     "Rectangular",
@@ -40,7 +47,17 @@ __all__ = [
     "Correlator",
     "correlator",
     "correlator_table",
+    "ExpModes",
+    "correlator_modes",
 ]
+
+# A mode expansion must reproduce the correlator table to this fraction
+# of the area in max norm, or the integrator keeps the full history.
+MODE_TOLERANCE = 1e-12
+# Beyond this many modes the per-step mode update (about 6 K M^2
+# operations) nears the full history sum (2 k M^2 at step k) on grids of
+# a few thousand steps.
+MAX_MODES = 256
 
 
 class QuadratureError(RuntimeError):
@@ -199,6 +216,13 @@ class Correlator:
                 f"no analytic correlator for {type(self.model).__name__}"
             )
 
+    @property
+    def closed_form(self) -> bool:
+        """True when values come from the family's closed form."""
+        return self.method == "analytic" or (
+            self.method == "auto" and _has_analytic_correlator(self.model)
+        )
+
 
 def _effective_support(model: SpectralModel) -> tuple[float, float]:
     """Support clipped where the density is provably negligible."""
@@ -271,7 +295,7 @@ def correlator(c: Correlator, tau: float) -> complex:
         return 0.0 + 0.0j
     if tau == 0:
         return complex(area(c.model))
-    if c.method == "analytic" or (c.method == "auto" and _has_analytic_correlator(c.model)):
+    if c.closed_form:
         return _analytic_correlator(c.model, tau)
     return _quad_correlator(c, tau)
 
@@ -288,7 +312,7 @@ def correlator_table(c: Correlator, t_max: float, dt: float) -> np.ndarray:
         raise ValueError(f"t_max must be at least dt, got {t_max} < {dt}")
     n = int(round(t_max / dt))
     taus = np.arange(n + 1) * dt
-    if c.method == "analytic" or (c.method == "auto" and _has_analytic_correlator(c.model)):
+    if c.closed_form:
         table = _analytic_correlator(c.model, taus)
         table = np.asarray(table, dtype=complex)
     else:
@@ -297,3 +321,64 @@ def correlator_table(c: Correlator, t_max: float, dt: float) -> np.ndarray:
             table[k] = correlator(c, tau)
     table[0] = area(c.model)
     return table
+
+
+@dataclass(frozen=True, eq=False)
+class ExpModes:
+    """``F(tau) = sum_q coeffs[q] * exp(rates[q] * tau)`` on a grid.
+
+    ``error`` is the measured max-norm distance from the correlator
+    table the modes were checked against.
+    """
+
+    coeffs: np.ndarray
+    rates: np.ndarray
+    error: float
+
+
+def _max_mode_error(coeffs, rates, table, dt) -> float:
+    """Max |sum_q c_q e^(lambda_q k dt) - table[k]|, in row blocks so the
+    temporaries stay at ``block * K`` entries."""
+    block = 512
+    error = 0.0
+    for start in range(0, len(table), block):
+        rows = table[start : start + block]
+        taus = np.arange(start, start + len(rows)) * dt
+        approx = np.exp(np.outer(taus, rates)) @ coeffs
+        error = max(error, float(np.max(np.abs(approx - rows))))
+    return error
+
+
+def correlator_modes(c: Correlator, table: np.ndarray, dt: float) -> ExpModes | None:
+    """Exponential modes reproducing ``table`` (F at ``k * dt``).
+
+    The Lorentzian correlator is one exact mode, ``c = A`` and
+    ``lambda = i*center - width``.  The rectangular correlator is the
+    spectral integral ``(A/2) int_{-1}^{1} e^(i(center + eps x) tau) dx``;
+    its Gauss-Legendre nodes x_q and weights w_q give
+    ``c_q = A w_q / 2`` and ``lambda_q = i(center + eps x_q)``, with the
+    node count set by ``eps * t_max`` (about 1e-14 of the area).
+
+    Returns None, meaning the caller keeps the full history, when the
+    correlator has no closed form (power-Gaussian, or the quadrature
+    method), when more than ``MAX_MODES`` nodes are needed, or when the
+    max-norm error exceeds ``MODE_TOLERANCE * area``.
+    """
+    if not c.closed_form:
+        return None
+    model = c.model
+    if isinstance(model, Lorentzian):
+        coeffs = np.array([model.area], dtype=complex)
+        rates = np.array([1j * model.center - model.width])
+    else:  # Rectangular, the other closed-form family
+        span = model.half_width * (len(table) - 1) * dt
+        count = int(np.ceil(0.5 * span + 4.0 * np.cbrt(span) + 8.0))
+        if count > MAX_MODES:
+            return None
+        nodes, weights = roots_legendre(count)
+        coeffs = (0.5 * model.area * weights).astype(complex)
+        rates = 1j * (model.center + model.half_width * nodes)
+    error = _max_mode_error(coeffs, rates, table, dt)
+    if not error <= MODE_TOLERANCE * model.area:
+        return None
+    return ExpModes(coeffs, rates, error)

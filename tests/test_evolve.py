@@ -1,16 +1,26 @@
 import numpy as np
 import pytest
 
+from mlsbath import evolve
 from mlsbath.evolve import EvolutionConfig, IntegrationError, integrate, kernel_apply
 from mlsbath.model import (
     SystemSpec,
+    build_multilevel,
     build_three_level,
     build_two_level,
     default_initial_state,
     initial_density,
     interaction_coupling,
 )
-from mlsbath.spectra import Correlator, Lorentzian, Rectangular, correlator_table
+from mlsbath.spectra import (
+    MAX_MODES,
+    Correlator,
+    Lorentzian,
+    PowerGaussian,
+    Rectangular,
+    correlator_modes,
+    correlator_table,
+)
 
 
 def random_hermitian(rng, m):
@@ -230,6 +240,81 @@ class TestIntegrate:
         rho0 = initial_density(default_initial_state(), 4)
         with pytest.raises(ValueError, match="levels"):
             integrate(spec, Rectangular(5.0, 1.5, 1.0), rho0)
+
+
+def full_history_integrate(monkeypatch, spec, model, rho0, cfg):
+    """The production integrator with the mode path switched off: the
+    full-history sums every mode run is checked against."""
+    with monkeypatch.context() as patch:
+        patch.setattr(evolve, "correlator_modes", lambda *args: None)
+        return integrate(spec, model, rho0, cfg)
+
+
+class TestHistoryPaths:
+    @pytest.mark.parametrize(
+        "levels, model, cfg",
+        [
+            # rectangular eps * t_max = 2.5, 25, 100 and 250
+            (3, Rectangular(5.0, 1.5, 1.0), EvolutionConfig(2.5, 0.002)),
+            (3, Rectangular(5.0, 4.0, 10.0), EvolutionConfig(2.5, 0.002)),
+            (3, Rectangular(5.0, 0.0, 40.0), EvolutionConfig(2.5, 0.002)),
+            (3, Rectangular(50.0, 0.0, 100.0), EvolutionConfig(2.5, 0.002)),
+            (3, Lorentzian(5.0, 1.5, 1.0), EvolutionConfig(2.5, 0.002)),
+            (3, Lorentzian(50.0, 0.0, 80.0 / np.pi), EvolutionConfig(2.5, 0.002)),
+            (10, Rectangular(5.0, 2.0, 6.0), EvolutionConfig(1.0, 0.002)),
+            (10, Lorentzian(5.0, 2.0, 3.0), EvolutionConfig(1.0, 0.002)),
+        ],
+    )
+    def test_modes_match_full_history(self, monkeypatch, levels, model, cfg):
+        spec = build_three_level() if levels == 3 else build_multilevel(levels, delta=5.0)
+        rho0 = initial_density(default_initial_state(), levels)
+        fast = integrate(spec, model, rho0, cfg)
+        oracle = full_history_integrate(monkeypatch, spec, model, rho0, cfg)
+        assert fast.history_modes > 0 and oracle.history_modes == 0
+        if isinstance(model, Lorentzian):
+            assert fast.history_modes == 1
+        assert fast.mode_error <= 1e-12 * model.area
+        assert oracle.mode_error == 0.0
+        assert np.max(np.abs(fast.states - oracle.states)) <= 1e-12
+
+    def test_power_gaussian_takes_full_history(self):
+        spec = build_three_level()
+        rho0 = initial_density(default_initial_state(), 3)
+        traj = integrate(spec, PowerGaussian(5.0, 0.0, 2.0), rho0, EvolutionConfig(0.1, 0.01))
+        assert traj.history_modes == 0 and traj.mode_error == 0.0
+
+    def test_quadrature_table_has_no_modes(self):
+        model = Rectangular(5.0, 1.5, 1.0)
+        table = correlator_table(Correlator(model), 0.1, 0.01)
+        assert correlator_modes(Correlator(model, method="quadrature"), table, 0.01) is None
+        assert correlator_modes(Correlator(model), table, 0.01) is not None
+
+    def test_mode_count_above_cap_falls_back(self):
+        # eps * t_max = 600 needs about 340 Gauss-Legendre nodes
+        spec = build_three_level()
+        rho0 = initial_density(default_initial_state(), 3)
+        model = Rectangular(5.0, 0.0, 600.0)
+        cfg = EvolutionConfig(1.0, 0.001)
+        table = correlator_table(Correlator(model), cfg.t_max, cfg.dt)
+        assert correlator_modes(Correlator(model), table, cfg.dt) is None
+        traj = integrate(spec, model, rho0, cfg)
+        assert traj.history_modes == 0 and traj.mode_error == 0.0
+        narrower = integrate(spec, Rectangular(5.0, 0.0, 400.0), rho0, cfg)
+        assert 0 < narrower.history_modes <= MAX_MODES
+
+    def test_failed_mode_check_falls_back(self):
+        # a table the modes cannot reproduce sends the run to full history
+        model = Rectangular(5.0, 1.5, 1.0)
+        table = correlator_table(Correlator(model), 1.0, 0.01)
+        assert correlator_modes(Correlator(model), table, 0.01).error <= 1e-12 * model.area
+        table[50] += 1e-9
+        assert correlator_modes(Correlator(model), table, 0.01) is None
+
+    def test_lorentzian_blow_up_aborts_with_step_info(self):
+        spec = build_three_level()
+        rho0 = initial_density(default_initial_state(), 3)
+        with pytest.raises(IntegrationError, match="step"):
+            integrate(spec, Lorentzian(2e6, 1.5, 1.0), rho0, EvolutionConfig(2.5, 0.01))
 
 
 class TestEvolutionConfig:

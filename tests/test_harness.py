@@ -1,9 +1,11 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from mlsbath.cli import main
+from mlsbath.evolve import Trajectory
 from mlsbath.harness import (
     ConfigError,
     SweepSpec,
@@ -12,6 +14,7 @@ from mlsbath.harness import (
     run_scenario,
     run_sweep,
     write_sweep_csv,
+    write_trajectory_csv,
     _fmt,
 )
 
@@ -164,6 +167,9 @@ class TestRunScenario:
         assert payload["relaxation_rate"] == rates.relaxation_rate
         assert len(payload["r_squared"]) == 3
         assert payload["config_hash"] == scenario.config_hash()
+        # rectangular eps * t_max = 4 runs on exponential modes
+        assert payload["history_modes"] > 0
+        assert 0.0 <= payload["mode_error"] <= 1e-12 * 5.0
 
     def test_full_precision_round_trip(self, tmp_path):
         scenario, _, _ = load_config(write(tmp_path, BASE_CONFIG))
@@ -314,3 +320,48 @@ class TestFormatting:
         x = 0.1 + 0.2
         assert float(_fmt(x)) == x
         assert float(_fmt(1.0 / 3.0)) == 1.0 / 3.0
+
+
+def write_trajectory_csv_per_value(path, traj):
+    """csv.writer with one _fmt call per value: the byte reference for
+    the column-array writer."""
+    m = traj.states.shape[1]
+    pairs = [(n, r) for n in range(m) for r in range(n, m)]
+    header = ["t"]
+    for n, r in pairs:
+        header += [f"re_rho_{n + 1}_{r + 1}", f"im_rho_{n + 1}_{r + 1}"]
+    header += ["population_2", "coherence_12", "leakage"]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        pop, coh, leak = traj.population_2, traj.coherence_12, traj.leakage
+        for k, t in enumerate(traj.times):
+            row = [_fmt(t)]
+            for n, r in pairs:
+                z = traj.states[k, n, r]
+                row += [_fmt(z.real), _fmt(z.imag)]
+            row += [_fmt(pop[k]), _fmt(coh[k]), _fmt(leak[k])]
+            writer.writerow(row)
+
+
+class TestTrajectoryCsvBytes:
+    def test_matches_per_value_writer(self, tmp_path):
+        rng = np.random.default_rng(5)
+        shape = (400, 4, 4)
+        scale = 10.0 ** rng.integers(-320, 300, size=shape)
+        states = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * scale
+        states[1, 0, 0] = complex(-0.0, np.nan)
+        states[2, 1, 1] = complex(np.inf, -np.inf)
+        states[3, 0, 1] = complex(5e-324, -2.2250738585072014e-308)
+        traj = Trajectory(times=np.arange(400) * 1e-3, states=states)
+        write_trajectory_csv(tmp_path / "fast.csv", traj)
+        write_trajectory_csv_per_value(tmp_path / "ref.csv", traj)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_matches_per_value_writer_on_a_run(self, tmp_path):
+        scenario, _, _ = load_config(write(tmp_path, BASE_CONFIG))
+        traj, _ = run_scenario(scenario, tmp_path / "out")
+        write_trajectory_csv_per_value(tmp_path / "ref.csv", traj)
+        assert (tmp_path / "out" / "trajectory.csv").read_bytes() == (
+            tmp_path / "ref.csv"
+        ).read_bytes()
