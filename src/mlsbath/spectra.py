@@ -338,13 +338,19 @@ class ExpModes:
 
 def _max_mode_error(coeffs, rates, table, dt) -> float:
     """Max |sum_q c_q e^(lambda_q k dt) - table[k]|, in row blocks so the
-    temporaries stay at ``block * K`` entries."""
+    temporaries stay at ``block * K`` entries.
+
+    The sum over modes is an elementwise reduction, not a matrix-vector
+    product: a ``block x K`` product is large enough for BLAS to wake its
+    worker threads, which then spin on the other cores well after the
+    check returns, competing with the single-threaded stepping that follows.
+    """
     block = 512
     error = 0.0
     for start in range(0, len(table), block):
         rows = table[start : start + block]
         taus = np.arange(start, start + len(rows)) * dt
-        approx = np.exp(np.outer(taus, rates)) @ coeffs
+        approx = (np.exp(np.outer(taus, rates)) * coeffs).sum(axis=1)
         error = max(error, float(np.max(np.abs(approx - rows))))
     return error
 
