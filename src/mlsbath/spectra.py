@@ -14,15 +14,18 @@ Three spectral families are supported, each normalized by its area
 
 The noise correlator is the retarded transform
 ``F(tau) = Theta(tau) * integral I(omega) e^(i omega tau) d omega``,
-evaluated from closed forms for the rectangular and Lorentzian families
-and by adaptive oscillatory quadrature otherwise.  The value stored at
-``tau = 0`` is the one-sided limit ``F(0+) = area``.
+evaluated from each family's closed form: a sinc for the rectangle, one
+exponential for the Lorentzian, and two Kummer functions for the
+power-Gaussian (Gradshteyn & Ryzhik 3.462.1), all divided through by the
+area.  Adaptive oscillatory quadrature (``method="quadrature"``) is kept
+as the reference the closed forms are tested against.  The value stored
+at ``tau = 0`` is the one-sided limit ``F(0+) = area``.
 
-For the integrator's history sums, :func:`correlator_modes` writes a
-closed-form correlator on a finite grid as a sum of exponentials
-``F(tau) = sum_q c_q e^(lambda_q tau)`` (the Lorentzian decomposition of
-Meier & Tannor, J. Chem. Phys. 111, 3365 (1999)), checked in max norm
-against the tabulated correlator.
+For the integrator's history sums, :func:`correlator_modes` writes the
+rectangular and Lorentzian correlators on a finite grid as a sum of
+exponentials ``F(tau) = sum_q c_q e^(lambda_q tau)`` (the Lorentzian
+decomposition of Meier & Tannor, J. Chem. Phys. 111, 3365 (1999)),
+checked in max norm against the tabulated correlator.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Union
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
-from scipy.special import roots_legendre
+from scipy.special import hyp1f1, poch, roots_legendre
 
 __all__ = [
     "Rectangular",
@@ -151,13 +154,8 @@ def evaluate(model: SpectralModel, omega):
 
 
 def area(model: SpectralModel) -> float:
-    """Spectral area; the power-Gaussian value comes from its closed form."""
-    if isinstance(model, (Rectangular, Lorentzian)):
-        return model.area
-    if isinstance(model, PowerGaussian):
-        nu = model.ohmicity
-        return model.amplitude * model.cutoff * 2.0 ** (1.0 + nu) * gamma_fn(1.0 + nu / 2.0)
-    raise TypeError(f"unknown spectral model {type(model).__name__}")
+    """Spectral area, as requested when the model was built."""
+    return model.area
 
 
 def support(model: SpectralModel) -> tuple[float, float]:
@@ -169,10 +167,6 @@ def support(model: SpectralModel) -> tuple[float, float]:
     if isinstance(model, PowerGaussian):
         return (0.0, np.inf)
     raise TypeError(f"unknown spectral model {type(model).__name__}")
-
-
-def _has_analytic_correlator(model: SpectralModel) -> bool:
-    return isinstance(model, (Rectangular, Lorentzian))
 
 
 def _analytic_correlator(model: SpectralModel, tau):
@@ -187,6 +181,15 @@ def _analytic_correlator(model: SpectralModel, tau):
         out = model.area * np.exp(1j * model.center * tau) * envelope
     elif isinstance(model, Lorentzian):
         out = model.area * np.exp((1j * model.center - model.width) * tau)
+    elif isinstance(model, PowerGaussian):
+        # cosine and sine transforms of x^(1+nu) e^(-x^2/4) over x >= 0,
+        # each divided by the cosine transform at y = 0 (the area)
+        a = 1.0 + 0.5 * model.ohmicity
+        y = model.cutoff * tau
+        z = -(y * y)
+        out = model.area * (
+            hyp1f1(a, 0.5, z) + 2j * y * poch(a, 0.5) * hyp1f1(a + 0.5, 1.5, z)
+        )
     else:
         raise TypeError(f"no analytic correlator for {type(model).__name__}")
     return out if out.ndim else complex(out)
@@ -196,11 +199,11 @@ def _analytic_correlator(model: SpectralModel, tau):
 class Correlator:
     """Evaluator for the retarded correlator of a spectral model.
 
-    ``method`` is one of ``"auto"`` (closed form when available, else
-    quadrature), ``"analytic"`` or ``"quadrature"``.  ``abs_tol`` is the
-    per-evaluation absolute tolerance requested from the adaptive rule;
-    an estimated error above ``100 * abs_tol`` raises QuadratureError.
-    ``limit`` caps the number of interval subdivisions.
+    ``method`` is ``"auto"`` or its synonym ``"analytic"`` (the family's
+    closed form), or ``"quadrature"`` (the adaptive-quadrature reference).
+    ``abs_tol`` is the per-evaluation absolute tolerance requested from
+    the adaptive rule; an estimated error above ``100 * abs_tol`` raises
+    QuadratureError.  ``limit`` caps the number of interval subdivisions.
     """
 
     model: SpectralModel
@@ -211,17 +214,11 @@ class Correlator:
     def __post_init__(self):
         if self.method not in ("auto", "analytic", "quadrature"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.method == "analytic" and not _has_analytic_correlator(self.model):
-            raise ValueError(
-                f"no analytic correlator for {type(self.model).__name__}"
-            )
 
     @property
     def closed_form(self) -> bool:
         """True when values come from the family's closed form."""
-        return self.method == "analytic" or (
-            self.method == "auto" and _has_analytic_correlator(self.model)
-        )
+        return self.method != "quadrature"
 
 
 def _effective_support(model: SpectralModel) -> tuple[float, float]:
@@ -313,14 +310,8 @@ def correlator_table(c: Correlator, t_max: float, dt: float) -> np.ndarray:
     n = int(round(t_max / dt))
     taus = np.arange(n + 1) * dt
     if c.closed_form:
-        table = _analytic_correlator(c.model, taus)
-        table = np.asarray(table, dtype=complex)
-    else:
-        table = np.empty(n + 1, dtype=complex)
-        for k, tau in enumerate(taus):
-            table[k] = correlator(c, tau)
-    table[0] = area(c.model)
-    return table
+        return np.asarray(_analytic_correlator(c.model, taus), dtype=complex)
+    return np.array([correlator(c, tau) for tau in taus], dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,10 +356,10 @@ def correlator_modes(c: Correlator, table: np.ndarray, dt: float) -> ExpModes | 
     ``c_q = A w_q / 2`` and ``lambda_q = i(center + eps x_q)``, with the
     node count set by ``eps * t_max`` (about 1e-14 of the area).
 
-    Returns None, meaning the caller keeps the full history, when the
-    correlator has no closed form (power-Gaussian, or the quadrature
-    method), when more than ``MAX_MODES`` nodes are needed, or when the
-    max-norm error exceeds ``MODE_TOLERANCE * area``.
+    Returns None, meaning the caller keeps the full history, for the
+    quadrature method, for the power-Gaussian (no mode expansion yet),
+    when more than ``MAX_MODES`` nodes are needed, or when the max-norm
+    error exceeds ``MODE_TOLERANCE * area``.
     """
     if not c.closed_form:
         return None
@@ -376,7 +367,7 @@ def correlator_modes(c: Correlator, table: np.ndarray, dt: float) -> ExpModes | 
     if isinstance(model, Lorentzian):
         coeffs = np.array([model.area], dtype=complex)
         rates = np.array([1j * model.center - model.width])
-    else:  # Rectangular, the other closed-form family
+    elif isinstance(model, Rectangular):
         span = model.half_width * (len(table) - 1) * dt
         count = int(np.ceil(0.5 * span + 4.0 * np.cbrt(span) + 8.0))
         if count > MAX_MODES:
@@ -384,6 +375,8 @@ def correlator_modes(c: Correlator, table: np.ndarray, dt: float) -> ExpModes | 
         nodes, weights = roots_legendre(count)
         coeffs = (0.5 * model.area * weights).astype(complex)
         rates = 1j * (model.center + model.half_width * nodes)
+    else:
+        return None
     error = _max_mode_error(coeffs, rates, table, dt)
     if not error <= MODE_TOLERANCE * model.area:
         return None

@@ -131,6 +131,9 @@ def test_criterion_3_correlator_oracle_equivalence():
         Lorentzian(5.0, 2.0, 1.0),
         Lorentzian(50.0, 1.5, 1.0),
         Lorentzian(5.0, 1.5, 0.5),
+        PowerGaussian(5.0, -1.0, 1.0),
+        PowerGaussian(5.0, 0.0, 1.0),
+        PowerGaussian(5.0, 1.0, 1.0),
     ]
     with criterion(3, "analytic vs adaptive-quadrature correlator within 1e-8"):
         for model in cases:

@@ -289,6 +289,14 @@ class TestHistoryPaths:
         assert correlator_modes(Correlator(model, method="quadrature"), table, 0.01) is None
         assert correlator_modes(Correlator(model), table, 0.01) is not None
 
+    def test_power_gaussian_closed_form_has_no_modes(self):
+        # the Kummer closed form fills the table, but no mode expansion exists yet
+        model = PowerGaussian(5.0, 0.0, 2.0)
+        c = Correlator(model)
+        assert c.closed_form
+        table = correlator_table(c, 0.1, 0.01)
+        assert correlator_modes(c, table, 0.01) is None
+
     def test_mode_count_above_cap_falls_back(self):
         # eps * t_max = 600 needs about 340 Gauss-Legendre nodes
         spec = build_three_level()

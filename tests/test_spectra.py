@@ -19,6 +19,7 @@ from mlsbath.spectra import (
 
 RECT_CASES = [Rectangular(5.0, 2.0, 1.0), Rectangular(50.0, 1.5, 1.0), Rectangular(5.0, 0.0, 1.0)]
 LOR_CASES = [Lorentzian(5.0, 2.0, 1.0), Lorentzian(50.0, 1.5, 1.0), Lorentzian(5.0, 1.5, 0.5)]
+PG_CASES = [PowerGaussian(5.0, -1.0, 1.0), PowerGaussian(5.0, 0.0, 1.0), PowerGaussian(50.0, 1.0, 2.0)]
 
 
 class TestEvaluate:
@@ -95,7 +96,7 @@ class TestCorrelatorAnalytic:
             assert correlator(Correlator(m), -1.0) == 0.0
 
     def test_zero_tau_is_area(self):
-        for m in RECT_CASES + LOR_CASES:
+        for m in RECT_CASES + LOR_CASES + PG_CASES:
             assert correlator(Correlator(m), 0.0) == pytest.approx(m.area, rel=1e-14)
 
     def test_rectangular_closed_form(self):
@@ -116,7 +117,7 @@ class TestCorrelatorAnalytic:
             assert abs(correlator(c, tau).imag) < 1e-14
 
     def test_magnitude_bounded_by_area(self):
-        for m in RECT_CASES + LOR_CASES:
+        for m in RECT_CASES + LOR_CASES + PG_CASES:
             c = Correlator(m)
             for tau in np.linspace(0.01, 6.0, 40):
                 assert abs(correlator(c, tau)) <= m.area * (1 + 1e-12)
@@ -136,7 +137,7 @@ class TestCorrelatorAnalytic:
 
 
 class TestCorrelatorQuadrature:
-    @pytest.mark.parametrize("m", RECT_CASES + LOR_CASES)
+    @pytest.mark.parametrize("m", RECT_CASES + LOR_CASES + PG_CASES)
     @pytest.mark.parametrize("tau", [0.01, 0.1, 1.0, 2.5])
     def test_matches_analytic(self, m, tau):
         analytic = correlator(Correlator(m, method="analytic"), tau)
@@ -149,9 +150,34 @@ class TestCorrelatorQuadrature:
             c = Correlator(m, method="quadrature")
             assert correlator(c, 1e-6).real == pytest.approx(5.0, rel=1e-6)
 
-    def test_analytic_method_rejected_for_power_gaussian(self):
-        with pytest.raises(ValueError, match="analytic"):
-            Correlator(PowerGaussian(5.0, 0.0, 1.0), method="analytic")
+    def test_analytic_method_accepted_for_power_gaussian(self):
+        m = PowerGaussian(5.0, 0.0, 1.0)
+        c = Correlator(m, method="analytic")
+        assert c.closed_form
+        numeric = correlator(Correlator(m, method="quadrature"), 0.7)
+        assert abs(correlator(c, 0.7) - numeric) < 1e-10 * m.area
+
+    @pytest.mark.parametrize("nu", [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("cutoff", [0.1, 1.0, 40.0])
+    def test_power_gaussian_kummer_vs_quadrature(self, nu, cutoff):
+        # Kummer closed form against the oscillatory-quadrature oracle,
+        # out to cutoff * tau = 400 where F has decayed to its power tail
+        m = PowerGaussian(5.0, nu, cutoff)
+        closed = Correlator(m)
+        oracle = Correlator(m, method="quadrature")
+        for y in (1e-4, 0.05, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0, 400.0):
+            tau = y / cutoff
+            diff = abs(correlator(closed, tau) - correlator(oracle, tau))
+            assert diff <= 1e-10 * m.area, f"y={y}: diff {diff:.2e}"
+
+    def test_power_gaussian_near_divergent_ohmicity_is_finite(self):
+        # nu -> -2 sends Gamma(1 + nu/2) to infinity; the area-normalized
+        # closed form never forms it
+        m = PowerGaussian(5.0, -1.9, 1.0)
+        table = correlator_table(Correlator(m), t_max=400.0, dt=0.5)
+        assert np.all(np.isfinite(table))
+        assert table[0] == m.area
+        assert np.all(np.abs(table) <= m.area * (1 + 1e-12))
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="method"):
@@ -172,7 +198,7 @@ class TestCorrelatorTable:
         for k, val in enumerate(table):
             assert val == pytest.approx(correlator(c, k * 0.05), abs=1e-14)
 
-    @pytest.mark.parametrize("m", [RECT_CASES[0], LOR_CASES[0]])
+    @pytest.mark.parametrize("m", [RECT_CASES[0], LOR_CASES[0]] + PG_CASES)
     def test_analytic_vs_quadrature_tables(self, m):
         ta = correlator_table(Correlator(m, method="analytic"), t_max=2.5, dt=0.25)
         tq = correlator_table(Correlator(m, method="quadrature"), t_max=2.5, dt=0.25)
