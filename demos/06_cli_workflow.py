@@ -9,7 +9,7 @@ Equivalent shell commands:
     mlsbath sweep            --config demos/configs/center_sweep.ini    --out out/center --threads 2
     mlsbath rpa              --config demos/configs/rpa_point.ini       --out out/rpa
 
-Run:  python demos/06_cli_workflow.py   (~1 minute)
+Run:  python demos/06_cli_workflow.py   (a few seconds)
 """
 
 import json

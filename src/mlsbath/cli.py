@@ -18,26 +18,25 @@ computation fails.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .harness import (
     ConfigError,
-    default_spectrum_window,
     load_config,
     run_scenario,
     run_sweep,
     run_trajectory,
-    spectrum_table,
+    write_columns_csv,
+    write_json,
     write_sweep_csv,
     write_trajectory_csv,
-    _fmt,
 )
 from .rpa import delta_n_total
-from .spectra import Correlator, correlator_table
+from .spectra import Correlator, correlator_table, evaluate
 
 
 def _add_common(sub: argparse.ArgumentParser, dt_tmax: bool = False) -> None:
@@ -99,35 +98,25 @@ def main(argv: list[str] | None = None) -> int:
             t_max = table.get("t_max", scenario.evolution.t_max)
             dt = table.get("dt", scenario.evolution.dt)
             values = correlator_table(Correlator(scenario.model), t_max, dt)
-            with open(out / "correlator.csv", "w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["tau", "re_f", "im_f"])
-                for k, z in enumerate(values):
-                    writer.writerow([_fmt(k * dt), _fmt(z.real), _fmt(z.imag)])
+            taus = np.arange(len(values)) * dt
+            write_columns_csv(out / "correlator.csv", ["tau", "re_f", "im_f"],
+                              [taus, values.real, values.imag])
         elif args.command == "spectrum-table":
-            lo, hi = default_spectrum_window(scenario.model)
-            lo = table.get("omega_min", lo)
-            hi = table.get("omega_max", hi)
-            points = table.get("points", 501)
-            omegas, values = spectrum_table(scenario.model, lo, hi, points)
-            with open(out / "spectrum.csv", "w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["omega", "intensity"])
-                for w, v in zip(omegas, values):
-                    writer.writerow([_fmt(w), _fmt(v)])
+            lo, hi = scenario.model.window()
+            omegas = np.linspace(table.get("omega_min", lo), table.get("omega_max", hi),
+                                 table.get("points", 501))
+            write_columns_csv(out / "spectrum.csv", ["omega", "intensity"],
+                              [omegas, evaluate(scenario.model, omegas)])
         elif args.command == "rpa":
             spec = scenario.system.build()
             result = delta_n_total(spec, scenario.model, scenario.state, scenario.rpa)
-            payload = {
+            write_json(out / "rpa.json", {
                 "n_total": result.n_total,
                 "delta_n": result.delta_n,
                 "ratio": result.ratio,
                 "warnings": list(result.warnings),
                 "config_hash": scenario.config_hash(),
-            }
-            with open(out / "rpa.json", "w", newline="") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            })
     except (ConfigError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,7 +17,7 @@ Unknown keys are rejected.  All sections except ``[system]`` and
 ``[state]``
     a = <complex>   b = <complex>     (default: sqrt(0.1), 1j*sqrt(0.9))
 
-``[spectrum]``
+``[spectrum]``  (keys per kind; a key of another family is rejected)
     kind = rectangular | lorentzian | power-gaussian
     area = <float>
     center = <float>  width = <float>         (rectangular/lorentzian)
@@ -69,16 +69,7 @@ from .model import (
 )
 from .rates import FitWindow, RateSet, extract_rates
 from .rpa import RpaConfig, delta_n_total
-from .spectra import (
-    Correlator,
-    Lorentzian,
-    PowerGaussian,
-    Rectangular,
-    SpectralModel,
-    correlator,
-    evaluate,
-    support,
-)
+from .spectra import FAMILIES, Correlator, SpectralModel, correlator
 
 __all__ = [
     "ConfigError",
@@ -87,6 +78,8 @@ __all__ = [
     "load_config",
     "run_scenario",
     "run_sweep",
+    "write_columns_csv",
+    "write_json",
     "write_trajectory_csv",
     "write_rates_json",
     "write_sweep_csv",
@@ -101,13 +94,19 @@ SWEEP_KINDS = (
     "rpa-area",
 )
 
+# section -> (ScenarioConfig field, dataclass, keys in canonical order); a
+# key's type and default are those of the dataclass's default instance
+_SECTIONS = {
+    "evolution": ("evolution", EvolutionConfig, ("t_max", "dt", "corrector_iterations")),
+    "fit": ("window", FitWindow, ("t_lo", "t_hi")),
+    "rpa": ("rpa", RpaConfig, ("pole_shift", "ladder", "omega_max", "scan_points")),
+}
+
 _KNOWN_KEYS = {
     "system": {"kind", "levels", "delta", "flat", "energies", "coupling"},
     "state": {"a", "b"},
-    "spectrum": {"kind", "area", "center", "width", "ohmicity", "cutoff"},
-    "evolution": {"t_max", "dt", "corrector_iterations"},
-    "fit": {"t_lo", "t_hi"},
-    "rpa": {"pole_shift", "ladder", "omega_max", "scan_points"},
+    "spectrum": {"kind"},  # plus the ini_keys of the named family
+    **{name: set(keys) for name, (_, _, keys) in _SECTIONS.items()},
     "table": {"t_max", "dt", "omega_min", "omega_max", "points"},
     "sweep": {"kind", "grid", "grid_log"},
 }
@@ -178,41 +177,15 @@ class ScenarioConfig:
             )
         lines += ["[state]", f"a = {self.state.a!r}", f"b = {self.state.b!r}", "[spectrum]"]
         m = self.model
-        if isinstance(m, Rectangular):
-            lines += [
-                "kind = rectangular",
-                f"area = {_fmt(m.area)}",
-                f"center = {_fmt(m.center)}",
-                f"width = {_fmt(m.half_width)}",
-            ]
-        elif isinstance(m, Lorentzian):
-            lines += [
-                "kind = lorentzian",
-                f"area = {_fmt(m.area)}",
-                f"center = {_fmt(m.center)}",
-                f"width = {_fmt(m.width)}",
-            ]
-        else:
-            lines += [
-                "kind = power-gaussian",
-                f"area = {_fmt(m.area)}",
-                f"ohmicity = {_fmt(m.ohmicity)}",
-                f"cutoff = {_fmt(m.cutoff)}",
-            ]
-        lines += [
-            "[evolution]",
-            f"t_max = {_fmt(self.evolution.t_max)}",
-            f"dt = {_fmt(self.evolution.dt)}",
-            f"corrector_iterations = {self.evolution.corrector_iterations}",
-            "[fit]",
-            f"t_lo = {_fmt(self.window.t_lo)}",
-            f"t_hi = {_fmt(self.window.t_hi)}",
-            "[rpa]",
-            f"pole_shift = {_fmt(self.rpa.pole_shift)}",
-            f"ladder = {self.rpa.ladder}",
-            f"omega_max = {_fmt(self.rpa.omega_max)}",
-            f"scan_points = {self.rpa.scan_points}",
-        ]
+        lines.append(f"kind = {m.kind}")
+        lines += [f"{key} = {_fmt(getattr(m, field))}" for key, field in m.ini_keys.items()]
+        for name, (field, cls, keys) in _SECTIONS.items():
+            config, default = getattr(self, field), cls()
+            lines.append(f"[{name}]")
+            for key in keys:
+                value = getattr(config, key)
+                text = _fmt(value) if isinstance(getattr(default, key), float) else value
+                lines.append(f"{key} = {text}")
         return "\n".join(lines) + "\n"
 
     def config_hash(self) -> str:
@@ -237,8 +210,10 @@ class SweepSpec:
             raise ConfigError("sweep grid must be strictly monotone")
         if self.kind == "levels" and self.base.system.kind != "multilevel":
             raise ConfigError("levels sweep requires a multilevel base system")
-        if self.kind == "spectral-center" and isinstance(self.base.model, PowerGaussian):
-            raise ConfigError("spectral-center sweep needs a rectangular or Lorentzian model")
+        if self.kind == "spectral-center" and "center" not in self.base.model.ini_keys:
+            raise ConfigError(
+                f"spectral-center sweep needs a spectrum with a center, not {self.base.model.kind}"
+            )
 
 
 def _fmt(x: float) -> str:
@@ -248,7 +223,10 @@ def _fmt(x: float) -> str:
 # --- parsing -----------------------------------------------------------------
 
 
-def _typed(section, key, cast, default=None, *, path="<config>"):
+def _typed(section, key, cast, default=None, *, path="<config>", what=None):
+    """``cast(section[key])``, or ``default`` when the key is absent (required
+    when ``default`` is None); a value ``cast`` rejects raises ConfigError
+    naming the file, section and key, and ``what`` (default: the cast's name)."""
     if key not in section:
         if default is None:
             raise ConfigError(f"{path}: [{section.name}] missing required key {key!r}")
@@ -262,15 +240,39 @@ def _typed(section, key, cast, default=None, *, path="<config>"):
         return cast(raw)
     except ValueError as exc:
         raise ConfigError(
-            f"{path}: [{section.name}] {key} = {raw!r} is not a valid {cast.__name__}"
+            f"{path}: [{section.name}] {key} = {raw!r} is not a valid {what or cast.__name__}"
         ) from exc
+
+
+def _numbers(raw: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in raw.split())
+
+
+def _rows(raw: str) -> tuple[tuple[float, ...], ...]:
+    return tuple(_numbers(row) for row in raw.split(";") if row.strip())
+
+
+def _log_grid(raw: str) -> tuple[float, ...]:
+    start, stop, count = raw.split()
+    return tuple(np.logspace(np.log10(float(start)), np.log10(float(stop)), int(count)))
+
+
+def _family(section, path: str) -> type:
+    """The spectral family named by ``[spectrum] kind``."""
+    kind = _typed(section, "kind", str, path=path)
+    if kind not in FAMILIES:
+        raise ConfigError(f"{path}: [spectrum] unknown kind {kind!r}")
+    return FAMILIES[kind]
 
 
 def _check_known_keys(parser: configparser.ConfigParser, path: str) -> None:
     for name in parser.sections():
         if name not in _KNOWN_KEYS:
             raise ConfigError(f"{path}: unknown section [{name}]")
-        extra = set(parser[name]) - _KNOWN_KEYS[name]
+        known = _KNOWN_KEYS[name]
+        if name == "spectrum":
+            known = known | set(_family(parser[name], path).ini_keys)
+        extra = set(parser[name]) - known
         if extra:
             raise ConfigError(f"{path}: unknown key(s) {sorted(extra)} in [{name}]")
 
@@ -290,9 +292,9 @@ def _parse_system(parser, path) -> SystemChoice:
             flat=_typed(sec, "flat", bool, default=False, path=path),
         ).normalized()
     if kind == "custom":
-        energies = tuple(float(v) for v in sec.get("energies", "").split())
-        rows = [r.strip() for r in sec.get("coupling", "").split(";") if r.strip()]
-        coupling = tuple(tuple(float(v) for v in row.split()) for row in rows)
+        energies = _typed(sec, "energies", _numbers, path=path, what="list of numbers")
+        coupling = _typed(sec, "coupling", _rows, path=path,
+                          what="list of ';'-separated rows of numbers")
         try:
             SystemSpec(np.array(energies), np.array(coupling))
         except ValueError as exc:
@@ -305,21 +307,12 @@ def _parse_spectrum(parser, path) -> SpectralModel:
     if "spectrum" not in parser:
         raise ConfigError(f"{path}: missing [spectrum] section")
     sec = parser["spectrum"]
-    kind = _typed(sec, "kind", str, path=path)
-    area = _typed(sec, "area", float, path=path)
+    family = _family(sec, path)
+    fields = {field: _typed(sec, key, float, path=path) for key, field in family.ini_keys.items()}
     try:
-        if kind == "rectangular":
-            return Rectangular(area, _typed(sec, "center", float, path=path),
-                               _typed(sec, "width", float, path=path))
-        if kind == "lorentzian":
-            return Lorentzian(area, _typed(sec, "center", float, path=path),
-                              _typed(sec, "width", float, path=path))
-        if kind == "power-gaussian":
-            return PowerGaussian(area, _typed(sec, "ohmicity", float, path=path),
-                                 _typed(sec, "cutoff", float, path=path))
+        return family(**fields)
     except ValueError as exc:
         raise ConfigError(f"{path}: [spectrum] {exc}") from exc
-    raise ConfigError(f"{path}: [spectrum] unknown kind {kind!r}")
 
 
 def load_config(path: str | Path) -> tuple[ScenarioConfig, SweepSpec | None, dict]:
@@ -342,61 +335,43 @@ def load_config(path: str | Path) -> tuple[ScenarioConfig, SweepSpec | None, dic
 
     if "state" in parser:
         sec = parser["state"]
+        a = _typed(sec, "a", complex, path=str(path))
+        b = _typed(sec, "b", complex, path=str(path))
         try:
-            state = QubitInitialState(complex(sec.get("a")), complex(sec.get("b")))
-        except (TypeError, ValueError) as exc:
+            state = QubitInitialState(a, b)
+        except ValueError as exc:
             raise ConfigError(f"{path}: [state] {exc}") from exc
     else:
         state = default_initial_state()
 
-    try:
-        if "evolution" in parser:
-            sec = parser["evolution"]
-            evolution = EvolutionConfig(
-                t_max=_typed(sec, "t_max", float, default=2.5, path=str(path)),
-                dt=_typed(sec, "dt", float, default=0.001, path=str(path)),
-                corrector_iterations=_typed(sec, "corrector_iterations", int, default=2,
-                                            path=str(path)),
-            )
-        else:
-            evolution = EvolutionConfig()
-        if "fit" in parser:
-            sec = parser["fit"]
-            window = FitWindow(
-                t_lo=_typed(sec, "t_lo", float, default=1.0, path=str(path)),
-                t_hi=_typed(sec, "t_hi", float, default=2.5, path=str(path)),
-            )
-        else:
-            window = FitWindow()
-        if "rpa" in parser:
-            sec = parser["rpa"]
-            rpa = RpaConfig(
-                pole_shift=_typed(sec, "pole_shift", float, default=1e-2, path=str(path)),
-                ladder=_typed(sec, "ladder", int, default=4, path=str(path)),
-                omega_max=_typed(sec, "omega_max", float, default=1000.0, path=str(path)),
-                scan_points=_typed(sec, "scan_points", int, default=10_000, path=str(path)),
-            )
-        else:
-            rpa = RpaConfig()
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    sections = {}
+    for name, (field, cls, keys) in _SECTIONS.items():
+        default = cls()
+        if name not in parser:
+            sections[field] = default
+            continue
+        values = {
+            key: _typed(parser[name], key, type(getattr(default, key)),
+                        default=getattr(default, key), path=str(path))
+            for key in keys
+        }
+        try:
+            sections[field] = cls(**values)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: [{name}] {exc}") from exc
 
-    scenario = ScenarioConfig(
-        system=system, state=state, model=model, evolution=evolution, window=window, rpa=rpa
-    )
+    scenario = ScenarioConfig(system=system, state=state, model=model, **sections)
 
     sweep = None
     if "sweep" in parser:
         sec = parser["sweep"]
         kind = _typed(sec, "kind", str, path=str(path))
         if "grid_log" in sec:
-            parts = sec["grid_log"].split()
-            if len(parts) != 3:
-                raise ConfigError(f"{path}: [sweep] grid_log needs 'start stop count'")
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-            grid = tuple(np.logspace(np.log10(start), np.log10(stop), count))
+            grid = _typed(sec, "grid_log", _log_grid, path=str(path),
+                          what="'start stop count' with an integer count")
         elif "grid" in sec:
-            grid = tuple(float(v) for v in sec["grid"].replace(",", " ").split())
+            grid = _typed(sec, "grid", lambda raw: _numbers(raw.replace(",", " ")),
+                          path=str(path), what="list of numbers")
         else:
             raise ConfigError(f"{path}: [sweep] needs grid or grid_log")
         sweep = SweepSpec(kind=kind, grid=grid, base=scenario)
@@ -439,6 +414,24 @@ def run_scenario(
     return traj, rates
 
 
+def write_columns_csv(path: str | Path, header: list[str], columns: list) -> None:
+    """A header row, then row k holding element k of every float column,
+    each in full precision."""
+    # '%.17g' % x gives the same text as _fmt(x) for every double
+    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in np.column_stack(columns):
+            fh.write(row_format % tuple(row))
+
+
+def write_json(path: str | Path, payload: dict) -> None:
+    """``payload`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", newline="") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
     """Columns: t, Re/Im of each upper-triangle entry, then the three
     derived observables."""
@@ -451,12 +444,7 @@ def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
         columns += [traj.states[:, n, r].real, traj.states[:, n, r].imag]
     header += ["population_2", "coherence_12", "leakage"]
     columns += [traj.population_2, traj.coherence_12, traj.leakage]
-    # '%.17g' % x gives the same text as _fmt(x) for every double
-    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in np.column_stack(columns):
-            fh.write(row_format % tuple(row))
+    write_columns_csv(path, header, columns)
 
 
 def write_rates_json(
@@ -474,9 +462,7 @@ def write_rates_json(
         "mode_error": traj.mode_error,
         "config_hash": scenario.config_hash(),
     }
-    with open(path, "w", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 # --- sweeps ------------------------------------------------------------------
@@ -485,16 +471,11 @@ def write_rates_json(
 def _point_scenario(sweep: SweepSpec, value: float) -> ScenarioConfig:
     base = sweep.base
     kind = sweep.kind
-    if kind == "spectral-center":
-        return replace(base, model=replace(base.model, center=value))
-    if kind in ("spectral-area", "rpa-area"):
-        return replace(base, model=replace(base.model, area=value))
-    if kind == "rpa-width":
-        if isinstance(base.model, Rectangular):
-            return replace(base, model=replace(base.model, half_width=value))
-        if isinstance(base.model, Lorentzian):
-            return replace(base, model=replace(base.model, width=value))
-        return replace(base, model=replace(base.model, cutoff=value))
+    if kind in ("spectral-center", "spectral-area", "rpa-area", "rpa-width"):
+        ini_keys = base.model.ini_keys
+        # rpa-width sweeps the family's last key: its width, or cutoff
+        key = {"spectral-center": "center", "rpa-width": list(ini_keys)[-1]}.get(kind, "area")
+        return replace(base, model=replace(base.model, **{ini_keys[key]: value}))
     if kind == "levels":
         levels = int(round(value))
         system = replace(base.system, kind="multilevel", levels=levels)
@@ -585,19 +566,3 @@ def write_sweep_csv(path: str | Path, sweep: SweepSpec, rows: list[dict]) -> Non
         fh.write(f"; grid = {' '.join(_fmt(v) for v in sweep.grid)}\n")
         fh.write(f"; base_config_hash = {sweep.base.config_hash()}\n")
         fh.write(base_text)
-
-
-def spectrum_table(model: SpectralModel, omega_min: float, omega_max: float, points: int):
-    """(omega, I(omega)) pairs on a uniform grid."""
-    omegas = np.linspace(omega_min, omega_max, points)
-    return omegas, np.asarray(evaluate(model, omegas), dtype=float)
-
-
-def default_spectrum_window(model: SpectralModel) -> tuple[float, float]:
-    lo, hi = support(model)
-    if isinstance(model, Rectangular):
-        pad = 0.25 * model.half_width
-        return lo - pad, hi + pad
-    if isinstance(model, Lorentzian):
-        return model.center - 10 * model.width, model.center + 10 * model.width
-    return 0.0, 8.0 * model.cutoff

@@ -26,6 +26,21 @@ rectangular and Lorentzian correlators on a finite grid as a sum of
 exponentials ``F(tau) = sum_q c_q e^(lambda_q tau)`` (the Lorentzian
 decomposition of Meier & Tannor, J. Chem. Phys. 111, 3365 (1999)),
 checked in max norm against the tabulated correlator.
+
+Everything particular to a family lives on its class:
+
+* ``kind`` -- the INI name (``[spectrum] kind``);
+* ``ini_keys`` -- ordered map from INI key to dataclass field, which
+  fixes the accepted keys, the canonical text and the ``rpa-width``
+  sweep (the last key);
+* ``density(w)``, ``support()``, ``window()`` (the default range of a
+  spectrum table), the closed-form ``correlator(tau)`` for ``tau >= 0``
+  and ``exp_modes(steps, dt)``, the ``(coeffs, rates)`` of an
+  exponential expansion on the grid ``{0, dt, ..., steps * dt}`` or None.
+
+``FAMILIES`` maps each ``kind`` to its class; a new family is its class
+plus its name in ``FAMILIES`` and ``SpectralModel``.  :func:`evaluate`,
+:func:`support` and :func:`area` take any family.
 """
 
 from __future__ import annotations
@@ -43,6 +58,7 @@ __all__ = [
     "Lorentzian",
     "PowerGaussian",
     "SpectralModel",
+    "FAMILIES",
     "QuadratureError",
     "evaluate",
     "area",
@@ -76,11 +92,45 @@ class Rectangular:
     center: float
     half_width: float
 
+    kind = "rectangular"
+    ini_keys = {"area": "area", "center": "center", "width": "half_width"}
+
     def __post_init__(self):
         if self.area <= 0:
             raise ValueError(f"area must be positive, got {self.area}")
         if self.half_width <= 0:
             raise ValueError(f"half_width must be positive, got {self.half_width}")
+
+    def density(self, w):
+        inside = np.abs(w - self.center) < self.half_width
+        return np.where(inside, self.area / (2.0 * self.half_width), 0.0)
+
+    def support(self) -> tuple[float, float]:
+        return (self.center - self.half_width, self.center + self.half_width)
+
+    def window(self) -> tuple[float, float]:
+        lo, hi = self.support()
+        pad = 0.25 * self.half_width
+        return lo - pad, hi + pad
+
+    def correlator(self, tau):
+        x = self.half_width * tau
+        small = np.abs(x) < 1e-6
+        xs = np.where(small, 1.0, x)
+        # series branch avoids 0/0 at the sinc singularity
+        envelope = np.where(small, 1.0 - x * x / 6.0, np.sin(xs) / xs)
+        return self.area * np.exp(1j * self.center * tau) * envelope
+
+    def exp_modes(self, steps: int, dt: float):
+        # Gauss-Legendre nodes of (A/2) int_{-1}^{1} e^(i(center + eps x) tau) dx
+        span = self.half_width * steps * dt
+        count = int(np.ceil(0.5 * span + 4.0 * np.cbrt(span) + 8.0))
+        # capped before the nodes are built: their cost grows faster than count
+        if count > MAX_MODES:
+            return None
+        nodes, weights = roots_legendre(count)
+        coeffs = (0.5 * self.area * weights).astype(complex)
+        return coeffs, 1j * (self.center + self.half_width * nodes)
 
 
 @dataclass(frozen=True)
@@ -91,11 +141,29 @@ class Lorentzian:
     center: float
     width: float
 
+    kind = "lorentzian"
+    ini_keys = {"area": "area", "center": "center", "width": "width"}
+
     def __post_init__(self):
         if self.area <= 0:
             raise ValueError(f"area must be positive, got {self.area}")
         if self.width <= 0:
             raise ValueError(f"width must be positive, got {self.width}")
+
+    def density(self, w):
+        return (self.area / np.pi) * self.width / ((w - self.center) ** 2 + self.width**2)
+
+    def support(self) -> tuple[float, float]:
+        return (-np.inf, np.inf)
+
+    def window(self) -> tuple[float, float]:
+        return self.center - 10 * self.width, self.center + 10 * self.width
+
+    def correlator(self, tau):
+        return self.area * np.exp((1j * self.center - self.width) * tau)
+
+    def exp_modes(self, steps: int, dt: float):
+        return np.array([self.area], dtype=complex), np.array([1j * self.center - self.width])
 
 
 @dataclass(frozen=True)
@@ -110,6 +178,9 @@ class PowerGaussian:
     area: float
     ohmicity: float
     cutoff: float
+
+    kind = "power-gaussian"
+    ini_keys = {"area": "area", "ohmicity": "ohmicity", "cutoff": "cutoff"}
 
     def __post_init__(self):
         if self.area <= 0:
@@ -127,29 +198,44 @@ class PowerGaussian:
         nu = self.ohmicity
         return self.area / (self.cutoff * 2.0 ** (1.0 + nu) * gamma_fn(1.0 + nu / 2.0))
 
+    def density(self, w):
+        lam = self.cutoff
+        with np.errstate(invalid="ignore", divide="ignore"):
+            raw = (
+                self.amplitude
+                * np.power(np.where(w > 0, w, 1.0) / lam, 1.0 + self.ohmicity)
+                * np.exp(-(w**2) / (4.0 * lam**2))
+            )
+        return np.where(w > 0, raw, 0.0)
+
+    def support(self) -> tuple[float, float]:
+        return (0.0, np.inf)
+
+    def window(self) -> tuple[float, float]:
+        return 0.0, 8.0 * self.cutoff
+
+    def correlator(self, tau):
+        # cosine and sine transforms of x^(1+nu) e^(-x^2/4) over x >= 0,
+        # each divided by the cosine transform at y = 0 (the area)
+        a = 1.0 + 0.5 * self.ohmicity
+        y = self.cutoff * tau
+        z = -(y * y)
+        return self.area * (
+            hyp1f1(a, 0.5, z) + 2j * y * poch(a, 0.5) * hyp1f1(a + 0.5, 1.5, z)
+        )
+
+    def exp_modes(self, steps: int, dt: float):
+        return None  # no mode expansion yet: the integrator keeps the full history
+
 
 SpectralModel = Union[Rectangular, Lorentzian, PowerGaussian]
+
+FAMILIES = {cls.kind: cls for cls in (Rectangular, Lorentzian, PowerGaussian)}
 
 
 def evaluate(model: SpectralModel, omega):
     """Spectral density I(omega); accepts scalars or arrays."""
-    w = np.asarray(omega, dtype=float)
-    if isinstance(model, Rectangular):
-        inside = np.abs(w - model.center) < model.half_width
-        out = np.where(inside, model.area / (2.0 * model.half_width), 0.0)
-    elif isinstance(model, Lorentzian):
-        out = (model.area / np.pi) * model.width / ((w - model.center) ** 2 + model.width**2)
-    elif isinstance(model, PowerGaussian):
-        lam = model.cutoff
-        with np.errstate(invalid="ignore", divide="ignore"):
-            raw = (
-                model.amplitude
-                * np.power(np.where(w > 0, w, 1.0) / lam, 1.0 + model.ohmicity)
-                * np.exp(-(w**2) / (4.0 * lam**2))
-            )
-        out = np.where(w > 0, raw, 0.0)
-    else:
-        raise TypeError(f"unknown spectral model {type(model).__name__}")
+    out = model.density(np.asarray(omega, dtype=float))
     return out if out.ndim else float(out)
 
 
@@ -160,39 +246,7 @@ def area(model: SpectralModel) -> float:
 
 def support(model: SpectralModel) -> tuple[float, float]:
     """Interval outside which I(omega) vanishes (may be infinite)."""
-    if isinstance(model, Rectangular):
-        return (model.center - model.half_width, model.center + model.half_width)
-    if isinstance(model, Lorentzian):
-        return (-np.inf, np.inf)
-    if isinstance(model, PowerGaussian):
-        return (0.0, np.inf)
-    raise TypeError(f"unknown spectral model {type(model).__name__}")
-
-
-def _analytic_correlator(model: SpectralModel, tau):
-    """Closed-form F(tau) for tau >= 0 (vectorized)."""
-    tau = np.asarray(tau, dtype=float)
-    if isinstance(model, Rectangular):
-        x = model.half_width * tau
-        small = np.abs(x) < 1e-6
-        xs = np.where(small, 1.0, x)
-        # series branch avoids 0/0 at the sinc singularity
-        envelope = np.where(small, 1.0 - x * x / 6.0, np.sin(xs) / xs)
-        out = model.area * np.exp(1j * model.center * tau) * envelope
-    elif isinstance(model, Lorentzian):
-        out = model.area * np.exp((1j * model.center - model.width) * tau)
-    elif isinstance(model, PowerGaussian):
-        # cosine and sine transforms of x^(1+nu) e^(-x^2/4) over x >= 0,
-        # each divided by the cosine transform at y = 0 (the area)
-        a = 1.0 + 0.5 * model.ohmicity
-        y = model.cutoff * tau
-        z = -(y * y)
-        out = model.area * (
-            hyp1f1(a, 0.5, z) + 2j * y * poch(a, 0.5) * hyp1f1(a + 0.5, 1.5, z)
-        )
-    else:
-        raise TypeError(f"no analytic correlator for {type(model).__name__}")
-    return out if out.ndim else complex(out)
+    return model.support()
 
 
 @dataclass(frozen=True)
@@ -293,7 +347,7 @@ def correlator(c: Correlator, tau: float) -> complex:
     if tau == 0:
         return complex(area(c.model))
     if c.closed_form:
-        return _analytic_correlator(c.model, tau)
+        return complex(c.model.correlator(np.asarray(tau, dtype=float)))
     return _quad_correlator(c, tau)
 
 
@@ -310,7 +364,7 @@ def correlator_table(c: Correlator, t_max: float, dt: float) -> np.ndarray:
     n = int(round(t_max / dt))
     taus = np.arange(n + 1) * dt
     if c.closed_form:
-        return np.asarray(_analytic_correlator(c.model, taus), dtype=complex)
+        return np.asarray(c.model.correlator(taus), dtype=complex)
     return np.array([correlator(c, tau) for tau in taus], dtype=complex)
 
 
@@ -349,12 +403,13 @@ def _max_mode_error(coeffs, rates, table, dt) -> float:
 def correlator_modes(c: Correlator, table: np.ndarray, dt: float) -> ExpModes | None:
     """Exponential modes reproducing ``table`` (F at ``k * dt``).
 
-    The Lorentzian correlator is one exact mode, ``c = A`` and
-    ``lambda = i*center - width``.  The rectangular correlator is the
-    spectral integral ``(A/2) int_{-1}^{1} e^(i(center + eps x) tau) dx``;
-    its Gauss-Legendre nodes x_q and weights w_q give
-    ``c_q = A w_q / 2`` and ``lambda_q = i(center + eps x_q)``, with the
-    node count set by ``eps * t_max`` (about 1e-14 of the area).
+    The modes come from the family's ``exp_modes``.  The Lorentzian
+    correlator is one exact mode, ``c = A`` and ``lambda = i*center - width``.
+    The rectangular correlator is the spectral integral
+    ``(A/2) int_{-1}^{1} e^(i(center + eps x) tau) dx``; its Gauss-Legendre
+    nodes x_q and weights w_q give ``c_q = A w_q / 2`` and
+    ``lambda_q = i(center + eps x_q)``, with the node count set by
+    ``eps * t_max`` (about 1e-14 of the area).
 
     Returns None, meaning the caller keeps the full history, for the
     quadrature method, for the power-Gaussian (no mode expansion yet),
@@ -363,21 +418,11 @@ def correlator_modes(c: Correlator, table: np.ndarray, dt: float) -> ExpModes | 
     """
     if not c.closed_form:
         return None
-    model = c.model
-    if isinstance(model, Lorentzian):
-        coeffs = np.array([model.area], dtype=complex)
-        rates = np.array([1j * model.center - model.width])
-    elif isinstance(model, Rectangular):
-        span = model.half_width * (len(table) - 1) * dt
-        count = int(np.ceil(0.5 * span + 4.0 * np.cbrt(span) + 8.0))
-        if count > MAX_MODES:
-            return None
-        nodes, weights = roots_legendre(count)
-        coeffs = (0.5 * model.area * weights).astype(complex)
-        rates = 1j * (model.center + model.half_width * nodes)
-    else:
+    modes = c.model.exp_modes(len(table) - 1, dt)
+    if modes is None:
         return None
+    coeffs, rates = modes
     error = _max_mode_error(coeffs, rates, table, dt)
-    if not error <= MODE_TOLERANCE * model.area:
+    if not error <= MODE_TOLERANCE * c.model.area:
         return None
     return ExpModes(coeffs, rates, error)

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,9 @@ from mlsbath.harness import (
     write_trajectory_csv,
     _fmt,
 )
+from mlsbath.spectra import Correlator, correlator_table, evaluate
+
+CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 BASE_CONFIG = """
 [system]
@@ -35,6 +39,32 @@ dt = 0.005
 [fit]
 t_lo = 0.1
 t_hi = 0.5
+"""
+
+POWER_GAUSSIAN_CONFIG = """
+[system]
+kind = three-level
+
+[spectrum]
+kind = power-gaussian
+area = 10.0
+ohmicity = -1
+cutoff = 1.5
+
+[evolution]
+t_max = 0.5
+dt = 0.01
+
+[fit]
+t_lo = 0.2
+t_hi = 0.5
+
+[table]
+t_max = 2.5
+dt = 0.01
+omega_min = -2.0
+omega_max = 6.0
+points = 81
 """
 
 
@@ -89,6 +119,51 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(write(tmp_path, BASE_CONFIG + "\n[rpa]\nbogus = 1\n"))
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            # center and width belong to the rectangle and the Lorentzian
+            ("kind = rectangular\narea = 5.0\ncenter = 4.0\nwidth = 8.0",
+             "kind = power-gaussian\narea = 5.0\nohmicity = 0\ncutoff = 2.0\n"
+             "center = 7.0\nwidth = 3.0"),
+            ("width = 8.0", "width = 8.0\ncutoff = 2.0"),
+        ],
+        ids=["power-gaussian-center-width", "rectangular-cutoff"],
+    )
+    def test_other_family_keys_rejected(self, tmp_path, old, new):
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) .* in \[spectrum\]"):
+            load_config(write(tmp_path, BASE_CONFIG.replace(old, new)))
+
+    def test_unknown_spectrum_kind_named(self, tmp_path):
+        text = BASE_CONFIG.replace("kind = rectangular", "kind = gaussian")
+        with pytest.raises(ConfigError, match="unknown kind 'gaussian'"):
+            load_config(write(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("t_hi = 0.5", "t_hi = 0.5\n[sweep]\nkind = spectral-area\ngrid = 1 2 x",
+             r"\[sweep\] grid = '1 2 x'"),
+            ("t_hi = 0.5", "t_hi = 0.5\n[sweep]\nkind = spectral-area\ngrid_log = 1 10 3.5",
+             r"\[sweep\] grid_log = '1 10 3.5'"),
+            ("kind = three-level",
+             "kind = custom\nenergies = 0 0 x\ncoupling = 0 0.1 0; 0.1 0 0.1; 0 0.1 0",
+             r"\[system\] energies = '0 0 x'"),
+            ("t_hi = 0.5", "t_hi = 0.5\n[state]\na = 1.0", r"\[state\] missing required key 'b'"),
+        ],
+        ids=["grid", "grid_log", "energies", "state-without-b"],
+    )
+    def test_malformed_value_names_file_section_and_key(self, tmp_path, old, new, message):
+        path = write(tmp_path, BASE_CONFIG.replace(old, new))
+        with pytest.raises(ConfigError, match=message) as info:
+            load_config(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_center_sweep_needs_a_center(self, tmp_path):
+        text = POWER_GAUSSIAN_CONFIG + "\n[sweep]\nkind = spectral-center\ngrid = 0 1\n"
+        with pytest.raises(ConfigError, match="with a center, not power-gaussian"):
+            load_config(write(tmp_path, text))
+
     def test_unknown_section_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown section"):
             load_config(write(tmp_path, BASE_CONFIG + "\n[extra]\nx = 1\n"))
@@ -128,6 +203,29 @@ class TestConfigParsing:
         s2, _, _ = load_config(write(tmp_path, BASE_CONFIG, "b.ini"))
         assert s1.config_hash() == s2.config_hash()
         assert len(s1.config_hash()) == 16
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            ("area_sweep", "71a368f9289b5741"),
+            ("baseline_run", "8a5c51e5eca213d3"),
+            ("center_sweep", "0166538834abaf74"),
+            ("correlator_table", "a206e790b8c94873"),
+            ("levels_sweep", "a4b4dab13e0d4876"),
+            ("rpa_area_sweep", "bfb0c02d91be6d22"),
+            ("rpa_point", "94e451075ea90ad4"),
+            ("rpa_width_sweep", "94e451075ea90ad4"),
+            ("power_gaussian", "03dc635af53b9d65"),
+        ],
+    )
+    def test_config_hash_golden(self, tmp_path, name, expected):
+        # every output file carries this hash, so its text must not drift
+        if name == "power_gaussian":
+            path = write(tmp_path, POWER_GAUSSIAN_CONFIG)
+        else:
+            path = CONFIGS / f"{name}.ini"
+        scenario, _, _ = load_config(path)
+        assert scenario.config_hash() == expected
 
 
 class TestRunScenario:
@@ -344,6 +442,22 @@ def write_trajectory_csv_per_value(path, traj):
             writer.writerow(row)
 
 
+def write_correlator_csv_per_value(path, values, dt):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["tau", "re_f", "im_f"])
+        for k, z in enumerate(values):
+            writer.writerow([_fmt(k * dt), _fmt(z.real), _fmt(z.imag)])
+
+
+def write_spectrum_csv_per_value(path, omegas, values):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["omega", "intensity"])
+        for w, v in zip(omegas, values):
+            writer.writerow([_fmt(w), _fmt(v)])
+
+
 class TestTrajectoryCsvBytes:
     def test_matches_per_value_writer(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -365,3 +479,20 @@ class TestTrajectoryCsvBytes:
         assert (tmp_path / "out" / "trajectory.csv").read_bytes() == (
             tmp_path / "ref.csv"
         ).read_bytes()
+
+    def test_tables_match_per_value_writer(self, tmp_path):
+        # a power-Gaussian correlator, and a spectrum that is exactly zero
+        # on the omega <= 0 part of its grid
+        cfg = write(tmp_path, POWER_GAUSSIAN_CONFIG)
+        scenario, _, _ = load_config(cfg)
+        out = tmp_path / "out"
+        assert main(["correlator-table", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["spectrum-table", "--config", str(cfg), "--out", str(out)]) == 0
+        values = correlator_table(Correlator(scenario.model), 2.5, 0.01)
+        write_correlator_csv_per_value(tmp_path / "correlator.csv", values, 0.01)
+        omegas = np.linspace(-2.0, 6.0, 81)
+        intensity = np.asarray(evaluate(scenario.model, omegas), dtype=float)
+        assert np.count_nonzero(intensity == 0.0) == 21
+        write_spectrum_csv_per_value(tmp_path / "spectrum.csv", omegas, intensity)
+        for name in ("correlator.csv", "spectrum.csv"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
