@@ -7,11 +7,9 @@ Run:  python demos/01_system_and_spectra.py
 import numpy as np
 
 from mlsbath import (
-    Correlator,
     Lorentzian,
     PowerGaussian,
     Rectangular,
-    area,
     build_multilevel,
     build_three_level,
     correlator,
@@ -50,7 +48,7 @@ print(header)
 for w in omegas:
     row = f"{w:5.2f}  " + "".join(f"{evaluate(m, w):24.6f}" for m in models.values())
     print(row)
-print("\nareas:", {name: round(area(m), 12) for name, m in models.items()})
+print("\nareas:", {name: round(m.area, 12) for name, m in models.items()})
 
 print("\n" + "=" * 70)
 print("Noise correlators: equal value at tau = 0+, different memories")
@@ -58,7 +56,7 @@ print("=" * 70)
 taus = [0.0, 0.5, 1.0, 2.0, 3.0]
 print("tau     " + "".join(f"{name:>24}" for name in models))
 for tau in taus:
-    vals = [correlator(Correlator(m), tau) for m in models.values()]
+    vals = [correlator(m, tau) for m in models.values()]
     print(f"{tau:5.2f}  " + "".join(f"{abs(v):24.6f}" for v in vals))
 print("\n(|F| shown; the rectangular memory rings as a sinc, the Lorentzian")
 print(" decays exponentially, and every family starts at the spectral area.)")

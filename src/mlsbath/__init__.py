@@ -17,17 +17,14 @@ from .model import (
     interaction_coupling,
 )
 from .spectra import (
-    Correlator,
     Lorentzian,
     PowerGaussian,
     QuadratureError,
     Rectangular,
     SpectralModel,
-    area,
     correlator,
     correlator_table,
     evaluate,
-    support,
 )
 from .evolve import EvolutionConfig, IntegrationError, Trajectory, integrate, kernel_apply
 from .rates import ExponentialFit, FitWindow, RateSet, extract_rates, fit_exponential_decay
@@ -64,11 +61,8 @@ __all__ = [
     "Lorentzian",
     "PowerGaussian",
     "SpectralModel",
-    "Correlator",
     "QuadratureError",
     "evaluate",
-    "area",
-    "support",
     "correlator",
     "correlator_table",
     "EvolutionConfig",

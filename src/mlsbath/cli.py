@@ -36,7 +36,7 @@ from .harness import (
     write_trajectory_csv,
 )
 from .rpa import delta_n_total
-from .spectra import Correlator, correlator_table, evaluate
+from .spectra import correlator_table, evaluate
 
 
 def _add_common(sub: argparse.ArgumentParser, dt_tmax: bool = False) -> None:
@@ -97,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "correlator-table":
             t_max = table.get("t_max", scenario.evolution.t_max)
             dt = table.get("dt", scenario.evolution.dt)
-            values = correlator_table(Correlator(scenario.model), t_max, dt)
+            values = correlator_table(scenario.model, t_max, dt)
             taus = np.arange(len(values)) * dt
             write_columns_csv(out / "correlator.csv", ["tau", "re_f", "im_f"],
                               [taus, values.real, values.imag])

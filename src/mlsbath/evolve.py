@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DensityMatrix, SystemSpec, interaction_coupling
-from .spectra import Correlator, ExpModes, SpectralModel, correlator_modes, correlator_table
+from .spectra import ExpModes, SpectralModel, correlator_modes, correlator_table
 
 __all__ = ["EvolutionConfig", "Trajectory", "IntegrationError", "kernel_apply", "integrate"]
 
@@ -222,9 +222,8 @@ def integrate(
     half = 0.5 * dt
     times = np.arange(n + 1) * dt
 
-    corr = Correlator(model)
-    f_table = correlator_table(corr, n * dt if n > 0 else dt, dt)[: n + 1]
-    modes = correlator_modes(corr, f_table, dt)
+    f_table = correlator_table(model, n * dt if n > 0 else dt, dt)[: n + 1]
+    modes = correlator_modes(model, f_table, dt)
     if modes is None:
         history = _FullHistory(f_table, dt, n, m)
     else:

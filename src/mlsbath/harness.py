@@ -6,7 +6,7 @@ Plain INI (``configparser``): typed ``key = value`` pairs in sections.
 Unknown keys are rejected.  All sections except ``[system]`` and
 ``[spectrum]`` are optional.
 
-``[system]``
+``[system]``  (keys per kind; a key of another kind is rejected)
     kind = three-level | two-level | multilevel | custom
     levels = <int>            (multilevel)
     delta = <float>           (multilevel; coupling range)
@@ -69,7 +69,7 @@ from .model import (
 )
 from .rates import FitWindow, RateSet, extract_rates
 from .rpa import RpaConfig, delta_n_total
-from .spectra import FAMILIES, Correlator, SpectralModel, correlator
+from .spectra import FAMILIES, SpectralModel, correlator
 
 __all__ = [
     "ConfigError",
@@ -102,8 +102,16 @@ _SECTIONS = {
     "rpa": ("rpa", RpaConfig, ("pole_shift", "ladder", "omega_max", "scan_points")),
 }
 
+# system kind -> the keys it accepts besides ``kind``
+_SYSTEM_KEYS = {
+    "three-level": (),
+    "two-level": (),
+    "multilevel": ("levels", "delta", "flat"),
+    "custom": ("energies", "coupling"),
+}
+
 _KNOWN_KEYS = {
-    "system": {"kind", "levels", "delta", "flat", "energies", "coupling"},
+    "system": {"kind"},  # plus the keys of the named kind
     "state": {"a", "b"},
     "spectrum": {"kind"},  # plus the ini_keys of the named family
     **{name: set(keys) for name, (_, _, keys) in _SECTIONS.items()},
@@ -254,7 +262,10 @@ def _rows(raw: str) -> tuple[tuple[float, ...], ...]:
 
 def _log_grid(raw: str) -> tuple[float, ...]:
     start, stop, count = raw.split()
-    return tuple(np.logspace(np.log10(float(start)), np.log10(float(stop)), int(count)))
+    start, stop = float(start), float(stop)
+    if not (start > 0 and stop > 0):
+        raise ValueError(raw)
+    return tuple(np.logspace(np.log10(start), np.log10(stop), int(count)))
 
 
 def _family(section, path: str) -> type:
@@ -265,11 +276,21 @@ def _family(section, path: str) -> type:
     return FAMILIES[kind]
 
 
+def _system_kind(section, path: str) -> str:
+    """The system kind named by ``[system] kind``."""
+    kind = _typed(section, "kind", str, path=path)
+    if kind not in _SYSTEM_KEYS:
+        raise ConfigError(f"{path}: [system] unknown kind {kind!r}")
+    return kind
+
+
 def _check_known_keys(parser: configparser.ConfigParser, path: str) -> None:
     for name in parser.sections():
         if name not in _KNOWN_KEYS:
             raise ConfigError(f"{path}: unknown section [{name}]")
         known = _KNOWN_KEYS[name]
+        if name == "system":
+            known = known | set(_SYSTEM_KEYS[_system_kind(parser[name], path)])
         if name == "spectrum":
             known = known | set(_family(parser[name], path).ini_keys)
         extra = set(parser[name]) - known
@@ -281,7 +302,7 @@ def _parse_system(parser, path) -> SystemChoice:
     if "system" not in parser:
         raise ConfigError(f"{path}: missing [system] section")
     sec = parser["system"]
-    kind = _typed(sec, "kind", str, path=path)
+    kind = _system_kind(sec, path)
     if kind in ("three-level", "two-level"):
         return SystemChoice(kind=kind)
     if kind == "multilevel":
@@ -291,16 +312,15 @@ def _parse_system(parser, path) -> SystemChoice:
             delta=_typed(sec, "delta", float, default=math.nan, path=path),
             flat=_typed(sec, "flat", bool, default=False, path=path),
         ).normalized()
-    if kind == "custom":
-        energies = _typed(sec, "energies", _numbers, path=path, what="list of numbers")
-        coupling = _typed(sec, "coupling", _rows, path=path,
-                          what="list of ';'-separated rows of numbers")
-        try:
-            SystemSpec(np.array(energies), np.array(coupling))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: [system] invariant violation: {exc}") from exc
-        return SystemChoice(kind=kind, levels=len(energies), energies=energies, coupling=coupling)
-    raise ConfigError(f"{path}: [system] unknown kind {kind!r}")
+    # custom
+    energies = _typed(sec, "energies", _numbers, path=path, what="list of numbers")
+    coupling = _typed(sec, "coupling", _rows, path=path,
+                      what="list of ';'-separated rows of numbers")
+    try:
+        SystemSpec(np.array(energies), np.array(coupling))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: [system] invariant violation: {exc}") from exc
+    return SystemChoice(kind=kind, levels=len(energies), energies=energies, coupling=coupling)
 
 
 def _parse_spectrum(parser, path) -> SpectralModel:
@@ -368,7 +388,7 @@ def load_config(path: str | Path) -> tuple[ScenarioConfig, SweepSpec | None, dic
         kind = _typed(sec, "kind", str, path=str(path))
         if "grid_log" in sec:
             grid = _typed(sec, "grid_log", _log_grid, path=str(path),
-                          what="'start stop count' with an integer count")
+                          what="'start stop count' with start, stop > 0 and an integer count")
         elif "grid" in sec:
             grid = _typed(sec, "grid", lambda raw: _numbers(raw.replace(",", " ")),
                           path=str(path), what="list of numbers")
@@ -506,7 +526,7 @@ def evaluate_sweep_point(sweep: SweepSpec, value: float) -> dict:
         point = _point_scenario(sweep, value)
         row["config_hash"] = point.config_hash()
         if sweep.kind == "correlator":
-            f_val = correlator(Correlator(point.model), float(value))
+            f_val = correlator(point.model, float(value))
             row.update({"re_f": f_val.real, "im_f": f_val.imag})
         elif sweep.kind in ("rpa-width", "rpa-area"):
             spec = point.system.build()

@@ -39,7 +39,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .model import QubitInitialState, SystemSpec
-from .spectra import SpectralModel, evaluate, support
+from .spectra import SpectralModel, evaluate
 
 __all__ = [
     "RpaConfig",
@@ -49,6 +49,9 @@ __all__ = [
     "rpa_number_density",
     "delta_n_total",
 ]
+
+# subdivision cap of the adaptive rule in each channel integral
+QUAD_LIMIT = 200
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,6 @@ class RpaConfig:
     ladder: int = 4
     omega_max: float = 1000.0
     scan_points: int = 10_000
-    quad_limit: int = 200
 
     def __post_init__(self):
         if self.pole_shift <= 0:
@@ -160,7 +162,7 @@ def _channel_integral(
 ) -> float:
     """integral of Re[ c g I / ((y + i shift)(y + i shift - 4 g I)) ] d omega
     over the spectral support, with y = slope*omega + offset."""
-    lo, hi = support(model)
+    lo, hi = model.support()
     lo = max(lo, -cfg.omega_max)
     hi = min(hi, cfg.omega_max)
     if g_s == 0.0 or hi <= lo:
@@ -188,7 +190,7 @@ def _channel_integral(
             points.append(float(brentq(f, grid[k], grid[k + 1])))
     points = sorted({p for p in points if lo < p < hi})
     value, _ = quad(
-        integrand, lo, hi, points=points or None, limit=cfg.quad_limit, epsabs=1e-11, epsrel=1e-9
+        integrand, lo, hi, points=points or None, limit=QUAD_LIMIT, epsabs=1e-11, epsrel=1e-9
     )
     return value
 

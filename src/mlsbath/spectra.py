@@ -17,9 +17,10 @@ The noise correlator is the retarded transform
 evaluated from each family's closed form: a sinc for the rectangle, one
 exponential for the Lorentzian, and two Kummer functions for the
 power-Gaussian (Gradshteyn & Ryzhik 3.462.1), all divided through by the
-area.  Adaptive oscillatory quadrature (``method="quadrature"``) is kept
-as the reference the closed forms are tested against.  The value stored
-at ``tau = 0`` is the one-sided limit ``F(0+) = area``.
+area.  Each closed form gives the one-sided limit ``F(0+) = area``
+exactly at ``tau = 0``.  :func:`quad_correlator`, adaptive oscillatory
+quadrature of the density, is the reference (oracle) the closed forms
+are tested against; nothing outside the tests calls it.
 
 For the integrator's history sums, :func:`correlator_modes` writes the
 rectangular and Lorentzian correlators on a finite grid as a sum of
@@ -39,8 +40,7 @@ Everything particular to a family lives on its class:
   exponential expansion on the grid ``{0, dt, ..., steps * dt}`` or None.
 
 ``FAMILIES`` maps each ``kind`` to its class; a new family is its class
-plus its name in ``FAMILIES`` and ``SpectralModel``.  :func:`evaluate`,
-:func:`support` and :func:`area` take any family.
+plus its name in ``FAMILIES`` and ``SpectralModel``.
 """
 
 from __future__ import annotations
@@ -61,9 +61,7 @@ __all__ = [
     "FAMILIES",
     "QuadratureError",
     "evaluate",
-    "area",
-    "support",
-    "Correlator",
+    "quad_correlator",
     "correlator",
     "correlator_table",
     "ExpModes",
@@ -77,6 +75,10 @@ MODE_TOLERANCE = 1e-12
 # operations) nears the full history sum (2 k M^2 at step k) on grids of
 # a few thousand steps.
 MAX_MODES = 256
+# Absolute tolerance and subdivision cap of each adaptive rule in the
+# quadrature oracle.
+QUAD_ABS_TOL = 1e-10
+QUAD_LIMIT = 256
 
 
 class QuadratureError(RuntimeError):
@@ -239,64 +241,32 @@ def evaluate(model: SpectralModel, omega):
     return out if out.ndim else float(out)
 
 
-def area(model: SpectralModel) -> float:
-    """Spectral area, as requested when the model was built."""
-    return model.area
-
-
-def support(model: SpectralModel) -> tuple[float, float]:
-    """Interval outside which I(omega) vanishes (may be infinite)."""
-    return model.support()
-
-
-@dataclass(frozen=True)
-class Correlator:
-    """Evaluator for the retarded correlator of a spectral model.
-
-    ``method`` is ``"auto"`` or its synonym ``"analytic"`` (the family's
-    closed form), or ``"quadrature"`` (the adaptive-quadrature reference).
-    ``abs_tol`` is the per-evaluation absolute tolerance requested from
-    the adaptive rule; an estimated error above ``100 * abs_tol`` raises
-    QuadratureError.  ``limit`` caps the number of interval subdivisions.
-    """
-
-    model: SpectralModel
-    method: str = "auto"
-    abs_tol: float = 1e-10
-    limit: int = 256
-
-    def __post_init__(self):
-        if self.method not in ("auto", "analytic", "quadrature"):
-            raise ValueError(f"unknown method {self.method!r}")
-
-    @property
-    def closed_form(self) -> bool:
-        """True when values come from the family's closed form."""
-        return self.method != "quadrature"
-
-
 def _effective_support(model: SpectralModel) -> tuple[float, float]:
     """Support clipped where the density is provably negligible."""
-    lo, hi = support(model)
+    lo, hi = model.support()
     if isinstance(model, PowerGaussian):
         # Gaussian envelope below ~1e-21 of the peak beyond 16 cutoffs
         return lo, min(hi, 16.0 * model.cutoff)
     return lo, hi
 
 
-def _quad_correlator(c: Correlator, tau: float) -> complex:
-    """F(tau) for tau > 0 by adaptive oscillatory quadrature.
+def quad_correlator(model: SpectralModel, tau: float) -> complex:
+    """F(tau) for tau > 0 by adaptive oscillatory quadrature: the
+    reference the closed forms are tested against.
 
     Finite (or finite-after-truncation) supports use the
     oscillatory-weight rule on the interval; the Lorentzian's heavy
     tails use the Fourier-integral rule on each half line, which
     subdivides by oscillation cycles and so stays accurate for large
     tau.  When tau is so small that not even a fraction of a cycle fits
-    across the density, plain adaptive quadrature takes over.
+    across the density, plain adaptive quadrature takes over.  Each rule
+    is asked for ``QUAD_ABS_TOL`` with at most ``QUAD_LIMIT``
+    subdivisions; a summed error estimate above ``100 * QUAD_ABS_TOL``
+    raises QuadratureError.
     """
-    model = c.model
     lo, hi = _effective_support(model)
     f = lambda w: evaluate(model, w)
+    opts = dict(epsabs=QUAD_ABS_TOL, epsrel=1e-12, limit=QUAD_LIMIT)
     if np.isfinite(lo) and np.isfinite(hi):
         osc_scale = max(abs(lo), abs(hi))
     else:
@@ -306,52 +276,43 @@ def _quad_correlator(c: Correlator, tau: float) -> complex:
         # oscillation negligible; split heavy-tailed supports at the peak
         bounds = [lo, hi] if np.isfinite(lo) else [lo, model.center, hi]
         for seg_lo, seg_hi in zip(bounds, bounds[1:]):
-            re, e1 = quad(lambda w: f(w) * np.cos(w * tau), seg_lo, seg_hi,
-                          epsabs=c.abs_tol, epsrel=1e-12, limit=c.limit)
-            im, e2 = quad(lambda w: f(w) * np.sin(w * tau), seg_lo, seg_hi,
-                          epsabs=c.abs_tol, epsrel=1e-12, limit=c.limit)
+            re, e1 = quad(lambda w: f(w) * np.cos(w * tau), seg_lo, seg_hi, **opts)
+            im, e2 = quad(lambda w: f(w) * np.sin(w * tau), seg_lo, seg_hi, **opts)
             pieces.append((re, im, e1 + e2))
     elif np.isfinite(lo) and np.isfinite(hi):
-        re, re_err = quad(f, lo, hi, weight="cos", wvar=tau, epsabs=c.abs_tol, epsrel=1e-12, limit=c.limit)
-        im, im_err = quad(f, lo, hi, weight="sin", wvar=tau, epsabs=c.abs_tol, epsrel=1e-12, limit=c.limit)
+        re, re_err = quad(f, lo, hi, weight="cos", wvar=tau, **opts)
+        im, im_err = quad(f, lo, hi, weight="sin", wvar=tau, **opts)
         pieces.append((re, im, re_err + im_err))
     else:
         # split the line at the density's peak
         split = model.center
-        re1, e1 = quad(f, split, np.inf, weight="cos", wvar=tau,
-                       epsabs=c.abs_tol, epsrel=1e-12, limit=c.limit)
-        im1, e2 = quad(f, split, np.inf, weight="sin", wvar=tau,
-                       epsabs=c.abs_tol, epsrel=1e-12, limit=c.limit)
+        re1, e1 = quad(f, split, np.inf, weight="cos", wvar=tau, **opts)
+        im1, e2 = quad(f, split, np.inf, weight="sin", wvar=tau, **opts)
         pieces.append((re1, im1, e1 + e2))
         # map (-inf, split] to [-split, inf) via omega -> -omega
         g = lambda u: evaluate(model, -u)
-        re2, e3 = quad(g, -split, np.inf, weight="cos", wvar=tau,
-                       epsabs=c.abs_tol, epsrel=1e-12, limit=c.limit)
-        im2, e4 = quad(g, -split, np.inf, weight="sin", wvar=tau,
-                       epsabs=c.abs_tol, epsrel=1e-12, limit=c.limit)
+        re2, e3 = quad(g, -split, np.inf, weight="cos", wvar=tau, **opts)
+        im2, e4 = quad(g, -split, np.inf, weight="sin", wvar=tau, **opts)
         pieces.append((re2, -im2, e3 + e4))
     value = sum(p[0] for p in pieces) + 1j * sum(p[1] for p in pieces)
     err = sum(p[2] for p in pieces)
-    if err > 100.0 * c.abs_tol:
+    if err > 100.0 * QUAD_ABS_TOL:
         raise QuadratureError(
             f"correlator quadrature at tau={tau} did not converge: "
-            f"estimated error {err:.3e} exceeds {100.0 * c.abs_tol:.3e}"
+            f"estimated error {err:.3e} exceeds {100.0 * QUAD_ABS_TOL:.3e}"
         )
     return value
 
 
-def correlator(c: Correlator, tau: float) -> complex:
-    """Retarded correlator F(tau): zero for tau < 0, area at tau = 0."""
+def correlator(model: SpectralModel, tau: float) -> complex:
+    """Retarded correlator F(tau): zero for tau < 0, the family's closed
+    form (exactly the area at tau = 0) otherwise."""
     if tau < 0:
         return 0.0 + 0.0j
-    if tau == 0:
-        return complex(area(c.model))
-    if c.closed_form:
-        return complex(c.model.correlator(np.asarray(tau, dtype=float)))
-    return _quad_correlator(c, tau)
+    return complex(model.correlator(np.asarray(tau, dtype=float)))
 
 
-def correlator_table(c: Correlator, t_max: float, dt: float) -> np.ndarray:
+def correlator_table(model: SpectralModel, t_max: float, dt: float) -> np.ndarray:
     """F on the uniform grid {0, dt, ..., t_max} used by the integrator.
 
     The number of steps is ``round(t_max / dt)``; the grid spacing is
@@ -362,10 +323,7 @@ def correlator_table(c: Correlator, t_max: float, dt: float) -> np.ndarray:
     if t_max < dt:
         raise ValueError(f"t_max must be at least dt, got {t_max} < {dt}")
     n = int(round(t_max / dt))
-    taus = np.arange(n + 1) * dt
-    if c.closed_form:
-        return np.asarray(c.model.correlator(taus), dtype=complex)
-    return np.array([correlator(c, tau) for tau in taus], dtype=complex)
+    return np.asarray(model.correlator(np.arange(n + 1) * dt), dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -400,7 +358,7 @@ def _max_mode_error(coeffs, rates, table, dt) -> float:
     return error
 
 
-def correlator_modes(c: Correlator, table: np.ndarray, dt: float) -> ExpModes | None:
+def correlator_modes(model: SpectralModel, table: np.ndarray, dt: float) -> ExpModes | None:
     """Exponential modes reproducing ``table`` (F at ``k * dt``).
 
     The modes come from the family's ``exp_modes``.  The Lorentzian
@@ -412,17 +370,15 @@ def correlator_modes(c: Correlator, table: np.ndarray, dt: float) -> ExpModes | 
     ``eps * t_max`` (about 1e-14 of the area).
 
     Returns None, meaning the caller keeps the full history, for the
-    quadrature method, for the power-Gaussian (no mode expansion yet),
-    when more than ``MAX_MODES`` nodes are needed, or when the max-norm
-    error exceeds ``MODE_TOLERANCE * area``.
+    power-Gaussian (no mode expansion yet), when more than ``MAX_MODES``
+    nodes are needed, or when the max-norm error exceeds
+    ``MODE_TOLERANCE * area``.
     """
-    if not c.closed_form:
-        return None
-    modes = c.model.exp_modes(len(table) - 1, dt)
+    modes = model.exp_modes(len(table) - 1, dt)
     if modes is None:
         return None
     coeffs, rates = modes
     error = _max_mode_error(coeffs, rates, table, dt)
-    if not error <= MODE_TOLERANCE * c.model.area:
+    if not error <= MODE_TOLERANCE * model.area:
         return None
     return ExpModes(coeffs, rates, error)

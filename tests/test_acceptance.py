@@ -22,7 +22,7 @@ from mlsbath.model import (
 )
 from mlsbath.rates import FitWindow, extract_rates
 from mlsbath.rpa import RpaConfig, delta_n_total
-from mlsbath.spectra import Correlator, Lorentzian, PowerGaussian, Rectangular, correlator
+from mlsbath.spectra import Lorentzian, PowerGaussian, Rectangular, correlator, quad_correlator
 
 STATE = default_initial_state()
 WINDOW = FitWindow(1.0, 2.5)
@@ -137,10 +137,8 @@ def test_criterion_3_correlator_oracle_equivalence():
     ]
     with criterion(3, "analytic vs adaptive-quadrature correlator within 1e-8"):
         for model in cases:
-            analytic = Correlator(model, method="analytic")
-            numeric = Correlator(model, method="quadrature")
             for tau in (0.01, 0.1, 1.0, 2.5):
-                diff = abs(correlator(analytic, tau) - correlator(numeric, tau))
+                diff = abs(correlator(model, tau) - quad_correlator(model, tau))
                 assert diff < 1e-8, f"{model}: tau={tau}, diff={diff:.2e}"
 
 

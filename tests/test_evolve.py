@@ -14,7 +14,6 @@ from mlsbath.model import (
 )
 from mlsbath.spectra import (
     MAX_MODES,
-    Correlator,
     Lorentzian,
     PowerGaussian,
     Rectangular,
@@ -126,7 +125,7 @@ def reference_integrate(spec, model, rho0, cfg):
     m = spec.n_levels
     dt = cfg.dt
     times = np.arange(n + 1) * dt
-    f_table = correlator_table(Correlator(model), n * dt, dt)
+    f_table = correlator_table(model, n * dt, dt)
     states = np.empty((n + 1, m, m), dtype=complex)
     states[0] = rho0.entries
 
@@ -283,19 +282,11 @@ class TestHistoryPaths:
         traj = integrate(spec, PowerGaussian(5.0, 0.0, 2.0), rho0, EvolutionConfig(0.1, 0.01))
         assert traj.history_modes == 0 and traj.mode_error == 0.0
 
-    def test_quadrature_table_has_no_modes(self):
-        model = Rectangular(5.0, 1.5, 1.0)
-        table = correlator_table(Correlator(model), 0.1, 0.01)
-        assert correlator_modes(Correlator(model, method="quadrature"), table, 0.01) is None
-        assert correlator_modes(Correlator(model), table, 0.01) is not None
-
     def test_power_gaussian_closed_form_has_no_modes(self):
         # the Kummer closed form fills the table, but no mode expansion exists yet
         model = PowerGaussian(5.0, 0.0, 2.0)
-        c = Correlator(model)
-        assert c.closed_form
-        table = correlator_table(c, 0.1, 0.01)
-        assert correlator_modes(c, table, 0.01) is None
+        table = correlator_table(model, 0.1, 0.01)
+        assert correlator_modes(model, table, 0.01) is None
 
     def test_mode_count_above_cap_falls_back(self):
         # eps * t_max = 600 needs about 340 Gauss-Legendre nodes
@@ -303,8 +294,8 @@ class TestHistoryPaths:
         rho0 = initial_density(default_initial_state(), 3)
         model = Rectangular(5.0, 0.0, 600.0)
         cfg = EvolutionConfig(1.0, 0.001)
-        table = correlator_table(Correlator(model), cfg.t_max, cfg.dt)
-        assert correlator_modes(Correlator(model), table, cfg.dt) is None
+        table = correlator_table(model, cfg.t_max, cfg.dt)
+        assert correlator_modes(model, table, cfg.dt) is None
         traj = integrate(spec, model, rho0, cfg)
         assert traj.history_modes == 0 and traj.mode_error == 0.0
         narrower = integrate(spec, Rectangular(5.0, 0.0, 400.0), rho0, cfg)
@@ -313,10 +304,10 @@ class TestHistoryPaths:
     def test_failed_mode_check_falls_back(self):
         # a table the modes cannot reproduce sends the run to full history
         model = Rectangular(5.0, 1.5, 1.0)
-        table = correlator_table(Correlator(model), 1.0, 0.01)
-        assert correlator_modes(Correlator(model), table, 0.01).error <= 1e-12 * model.area
+        table = correlator_table(model, 1.0, 0.01)
+        assert correlator_modes(model, table, 0.01).error <= 1e-12 * model.area
         table[50] += 1e-9
-        assert correlator_modes(Correlator(model), table, 0.01) is None
+        assert correlator_modes(model, table, 0.01) is None
 
     def test_lorentzian_blow_up_aborts_with_step_info(self):
         spec = build_three_level()

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from mlsbath.harness import (
     write_trajectory_csv,
     _fmt,
 )
-from mlsbath.spectra import Correlator, correlator_table, evaluate
+from mlsbath.spectra import correlator_table, evaluate
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -138,6 +139,38 @@ class TestConfigParsing:
         text = BASE_CONFIG.replace("kind = rectangular", "kind = gaussian")
         with pytest.raises(ConfigError, match="unknown kind 'gaussian'"):
             load_config(write(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "system, extra",
+        [
+            ("kind = three-level\nlevels = 7\nenergies = 1 2", "['energies', 'levels']"),
+            ("kind = two-level\nflat = true", "['flat']"),
+            ("kind = multilevel\nlevels = 4\ncoupling = 0 1; 1 0", "['coupling']"),
+            ("kind = custom\nenergies = 0 1\ncoupling = 0 0.1; 0.1 0\ndelta = 8",
+             "['delta']"),
+        ],
+        ids=["three-level", "two-level", "multilevel", "custom"],
+    )
+    def test_other_system_kind_keys_rejected(self, tmp_path, system, extra):
+        path = write(tmp_path, BASE_CONFIG.replace("kind = three-level", system))
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path}: unknown key(s) {extra} in [system]"
+
+    def test_unknown_system_kind_named(self, tmp_path):
+        text = BASE_CONFIG.replace("kind = three-level", "kind = five-level\nlevels = 7")
+        with pytest.raises(ConfigError, match=r"\[system\] unknown kind 'five-level'"):
+            load_config(write(tmp_path, text))
+
+    @pytest.mark.parametrize("grid_log", ["0 10 3", "1 -10 3", "-1 10 3", "nan 10 3"])
+    def test_log_grid_needs_positive_ends(self, tmp_path, grid_log):
+        text = BASE_CONFIG + f"\n[sweep]\nkind = spectral-area\ngrid_log = {grid_log}\n"
+        path = write(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=r"start, stop > 0") as info:
+                load_config(path)
+        assert str(info.value).startswith(f"{path}: [sweep] grid_log = '{grid_log}' ")
 
     @pytest.mark.parametrize(
         "old, new, message",
@@ -488,7 +521,7 @@ class TestTrajectoryCsvBytes:
         out = tmp_path / "out"
         assert main(["correlator-table", "--config", str(cfg), "--out", str(out)]) == 0
         assert main(["spectrum-table", "--config", str(cfg), "--out", str(out)]) == 0
-        values = correlator_table(Correlator(scenario.model), 2.5, 0.01)
+        values = correlator_table(scenario.model, 2.5, 0.01)
         write_correlator_csv_per_value(tmp_path / "correlator.csv", values, 0.01)
         omegas = np.linspace(-2.0, 6.0, 81)
         intensity = np.asarray(evaluate(scenario.model, omegas), dtype=float)

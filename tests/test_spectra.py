@@ -6,15 +6,13 @@ import pytest
 from scipy.integrate import quad
 
 from mlsbath.spectra import (
-    Correlator,
     Lorentzian,
     PowerGaussian,
     Rectangular,
-    area,
     correlator,
     correlator_table,
     evaluate,
-    support,
+    quad_correlator,
 )
 
 RECT_CASES = [Rectangular(5.0, 2.0, 1.0), Rectangular(50.0, 1.5, 1.0), Rectangular(5.0, 0.0, 1.0)]
@@ -52,8 +50,8 @@ class TestEvaluate:
 
 class TestArea:
     def test_stored_area_returned(self):
-        assert area(Rectangular(50.0, 2.0, 1.0)) == 50.0
-        assert area(Lorentzian(5.0, 2.0, 1.0)) == 5.0
+        assert Rectangular(50.0, 2.0, 1.0).area == 50.0
+        assert Lorentzian(5.0, 2.0, 1.0).area == 5.0
 
     def test_power_gaussian_unit_amplitude_anchor(self):
         # quadrature oracle: integral of omega*exp(-omega^2/4) over [0, inf) is 2,
@@ -67,12 +65,12 @@ class TestArea:
     def test_power_gaussian_closed_form_vs_quadrature(self, nu, cutoff):
         m = PowerGaussian(7.0, nu, cutoff)
         val, _ = quad(lambda w: evaluate(m, w), 0, np.inf)
-        assert val == pytest.approx(area(m), rel=1e-6)
-        assert area(m) == pytest.approx(7.0, rel=1e-12)
+        assert val == pytest.approx(m.area, rel=1e-6)
+        assert m.area == pytest.approx(7.0, rel=1e-12)
 
     def test_rectangular_quadrature_matches_area(self):
         m = Rectangular(5.0, 2.0, 1.0)
-        val, _ = quad(lambda w: evaluate(m, w), *support(m))
+        val, _ = quad(lambda w: evaluate(m, w), *m.support())
         assert val == pytest.approx(5.0, rel=1e-6)
 
     def test_divergent_ohmicity_rejected(self):
@@ -93,45 +91,44 @@ class TestArea:
 class TestCorrelatorAnalytic:
     def test_negative_tau_is_zero(self):
         for m in (RECT_CASES[0], LOR_CASES[0], PowerGaussian(5.0, 0.0, 1.0)):
-            assert correlator(Correlator(m), -1.0) == 0.0
+            assert correlator(m, -1.0) == 0.0
 
     def test_zero_tau_is_area(self):
-        for m in RECT_CASES + LOR_CASES + PG_CASES:
-            assert correlator(Correlator(m), 0.0) == pytest.approx(m.area, rel=1e-14)
+        for m in RECT_CASES + LOR_CASES + PG_CASES + [PowerGaussian(5.0, -1.9, 1.0)]:
+            assert correlator(m, 0.0) == m.area
 
     def test_rectangular_closed_form(self):
         m = Rectangular(5.0, 2.0, 1.0)
         tau = 1.3
         expected = 5.0 * cmath.exp(2j * tau) * math.sin(tau) / tau
-        assert correlator(Correlator(m), tau) == pytest.approx(expected, abs=1e-14)
+        assert correlator(m, tau) == pytest.approx(expected, abs=1e-14)
 
     def test_lorentzian_closed_form(self):
         # residue of the Lorentzian pole in the upper half plane
         m = Lorentzian(5.0, 2.0, 1.0)
         expected = 5.0 * cmath.exp(2j) * math.exp(-1.0)
-        assert correlator(Correlator(m), 1.0) == pytest.approx(expected, abs=1e-14)
+        assert correlator(m, 1.0) == pytest.approx(expected, abs=1e-14)
 
     def test_rectangular_centered_is_real(self):
-        c = Correlator(Rectangular(5.0, 0.0, 1.0))
+        m = Rectangular(5.0, 0.0, 1.0)
         for tau in np.linspace(0.0, 5.0, 23):
-            assert abs(correlator(c, tau).imag) < 1e-14
+            assert abs(correlator(m, tau).imag) < 1e-14
 
     def test_magnitude_bounded_by_area(self):
         for m in RECT_CASES + LOR_CASES + PG_CASES:
-            c = Correlator(m)
             for tau in np.linspace(0.01, 6.0, 40):
-                assert abs(correlator(c, tau)) <= m.area * (1 + 1e-12)
+                assert abs(correlator(m, tau)) <= m.area * (1 + 1e-12)
 
     def test_lorentzian_magnitude_monotone(self):
-        c = Correlator(Lorentzian(5.0, 2.0, 1.0))
+        m = Lorentzian(5.0, 2.0, 1.0)
         taus = np.linspace(0.0, 4.0, 41)
-        mags = [abs(correlator(c, t)) for t in taus]
+        mags = [abs(correlator(m, t)) for t in taus]
         assert np.all(np.diff(mags) < 0)
 
     def test_equal_area_equal_start(self):
         # shape-independence precondition: F(0+) depends only on the area
         models = [Rectangular(5.0, 2.0, 0.3), Lorentzian(5.0, 7.0, 2.0), PowerGaussian(5.0, 1.0, 0.5)]
-        starts = [correlator(Correlator(m), 0.0) for m in models]
+        starts = [correlator(m, 0.0) for m in models]
         assert starts[0] == pytest.approx(starts[1], rel=1e-12)
         assert starts[0] == pytest.approx(starts[2], rel=1e-12)
 
@@ -140,22 +137,12 @@ class TestCorrelatorQuadrature:
     @pytest.mark.parametrize("m", RECT_CASES + LOR_CASES + PG_CASES)
     @pytest.mark.parametrize("tau", [0.01, 0.1, 1.0, 2.5])
     def test_matches_analytic(self, m, tau):
-        analytic = correlator(Correlator(m, method="analytic"), tau)
-        numeric = correlator(Correlator(m, method="quadrature"), tau)
-        assert abs(analytic - numeric) < 1e-8
+        assert abs(correlator(m, tau) - quad_correlator(m, tau)) < 1e-8
 
     def test_power_gaussian_start_matches_area(self):
         for nu in (-1.0, 0.0, 1.0):
             m = PowerGaussian(5.0, nu, 1.0)
-            c = Correlator(m, method="quadrature")
-            assert correlator(c, 1e-6).real == pytest.approx(5.0, rel=1e-6)
-
-    def test_analytic_method_accepted_for_power_gaussian(self):
-        m = PowerGaussian(5.0, 0.0, 1.0)
-        c = Correlator(m, method="analytic")
-        assert c.closed_form
-        numeric = correlator(Correlator(m, method="quadrature"), 0.7)
-        assert abs(correlator(c, 0.7) - numeric) < 1e-10 * m.area
+            assert quad_correlator(m, 1e-6).real == pytest.approx(5.0, rel=1e-6)
 
     @pytest.mark.parametrize("nu", [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
     @pytest.mark.parametrize("cutoff", [0.1, 1.0, 40.0])
@@ -163,50 +150,43 @@ class TestCorrelatorQuadrature:
         # Kummer closed form against the oscillatory-quadrature oracle,
         # out to cutoff * tau = 400 where F has decayed to its power tail
         m = PowerGaussian(5.0, nu, cutoff)
-        closed = Correlator(m)
-        oracle = Correlator(m, method="quadrature")
         for y in (1e-4, 0.05, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0, 400.0):
             tau = y / cutoff
-            diff = abs(correlator(closed, tau) - correlator(oracle, tau))
+            diff = abs(correlator(m, tau) - quad_correlator(m, tau))
             assert diff <= 1e-10 * m.area, f"y={y}: diff {diff:.2e}"
 
     def test_power_gaussian_near_divergent_ohmicity_is_finite(self):
         # nu -> -2 sends Gamma(1 + nu/2) to infinity; the area-normalized
         # closed form never forms it
         m = PowerGaussian(5.0, -1.9, 1.0)
-        table = correlator_table(Correlator(m), t_max=400.0, dt=0.5)
+        table = correlator_table(m, t_max=400.0, dt=0.5)
         assert np.all(np.isfinite(table))
         assert table[0] == m.area
         assert np.all(np.abs(table) <= m.area * (1 + 1e-12))
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="method"):
-            Correlator(RECT_CASES[0], method="magic")
 
 
 class TestCorrelatorTable:
     def test_grid_and_first_entry(self):
         m = Rectangular(5.0, 2.0, 1.0)
-        table = correlator_table(Correlator(m), t_max=0.5, dt=0.1)
+        table = correlator_table(m, t_max=0.5, dt=0.1)
         assert table.shape == (6,)
         assert table[0] == pytest.approx(5.0, rel=1e-14)
 
     def test_matches_pointwise_correlator(self):
         m = Lorentzian(5.0, 1.5, 1.0)
-        c = Correlator(m)
-        table = correlator_table(c, t_max=1.0, dt=0.05)
+        table = correlator_table(m, t_max=1.0, dt=0.05)
         for k, val in enumerate(table):
-            assert val == pytest.approx(correlator(c, k * 0.05), abs=1e-14)
+            assert val == pytest.approx(correlator(m, k * 0.05), abs=1e-14)
 
     @pytest.mark.parametrize("m", [RECT_CASES[0], LOR_CASES[0]] + PG_CASES)
     def test_analytic_vs_quadrature_tables(self, m):
-        ta = correlator_table(Correlator(m, method="analytic"), t_max=2.5, dt=0.25)
-        tq = correlator_table(Correlator(m, method="quadrature"), t_max=2.5, dt=0.25)
+        ta = correlator_table(m, t_max=2.5, dt=0.25)
+        tq = np.array([quad_correlator(m, k * 0.25) for k in range(11)])
         assert np.max(np.abs(ta - tq)) < 1e-8
 
     def test_invalid_grid_rejected(self):
-        c = Correlator(RECT_CASES[0])
+        m = RECT_CASES[0]
         with pytest.raises(ValueError):
-            correlator_table(c, t_max=1.0, dt=0.0)
+            correlator_table(m, t_max=1.0, dt=0.0)
         with pytest.raises(ValueError):
-            correlator_table(c, t_max=0.05, dt=0.1)
+            correlator_table(m, t_max=0.05, dt=0.1)
