@@ -19,14 +19,13 @@ from .model import (
 from .spectra import (
     Lorentzian,
     PowerGaussian,
-    QuadratureError,
     Rectangular,
     SpectralModel,
     correlator,
     correlator_table,
     evaluate,
 )
-from .evolve import EvolutionConfig, IntegrationError, Trajectory, integrate, kernel_apply
+from .evolve import EvolutionConfig, IntegrationError, Trajectory, integrate
 from .rates import ExponentialFit, FitWindow, RateSet, extract_rates, fit_exponential_decay
 from .rpa import (
     FluctuationResult,
@@ -61,14 +60,12 @@ __all__ = [
     "Lorentzian",
     "PowerGaussian",
     "SpectralModel",
-    "QuadratureError",
     "evaluate",
     "correlator",
     "correlator_table",
     "EvolutionConfig",
     "Trajectory",
     "IntegrationError",
-    "kernel_apply",
     "integrate",
     "FitWindow",
     "ExponentialFit",

@@ -13,7 +13,10 @@ where the kernel action on a matrix ``rho`` is the four-product form
 with ``V_t`` the interaction-picture coupling matrix and ``F`` the
 retarded noise correlator.  This combination is exactly trace-free and
 maps Hermitian matrices to Hermitian derivatives, so trace and
-Hermiticity are conserved up to quadrature/rounding error.
+Hermiticity are conserved up to quadrature/rounding error.  The
+integrator never applies it pair by pair; the tests check the factorized
+sums below against the pairwise form (``kernel_apply`` in
+``tests/oracles.py``).
 
 The integrator is a uniform-grid trapezoidal predictor-corrector with
 no memory truncation: the memory integral uses trapezoidal weights over
@@ -40,10 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DensityMatrix, SystemSpec, interaction_coupling
+from .model import DensityMatrix, SystemSpec
 from .spectra import ExpModes, SpectralModel, correlator_modes, correlator_table
 
-__all__ = ["EvolutionConfig", "Trajectory", "IntegrationError", "kernel_apply", "integrate"]
+__all__ = ["EvolutionConfig", "Trajectory", "IntegrationError", "integrate"]
 
 MAX_STEP = 0.01  # resolves the fastest phases by a wide margin
 TRACE_ABORT = 1e-4
@@ -109,27 +112,6 @@ class Trajectory:
     @property
     def leakage(self) -> np.ndarray:
         return 1.0 - np.real(self.states[:, 0, 0] + self.states[:, 1, 1])
-
-    def state(self, k: int) -> DensityMatrix:
-        return DensityMatrix(self.states[k])
-
-
-def kernel_apply(
-    spec: SystemSpec, f_value: complex, t: float, t_prime: float, rho: np.ndarray
-) -> np.ndarray:
-    """Action of the memory kernel at times (t, t') on a state matrix.
-
-    ``f_value`` is the correlator evaluated at ``t - t_prime``.  The
-    result is traceless for any input and Hermitian for Hermitian input.
-    """
-    if t < t_prime:
-        raise ValueError(f"need t >= t_prime, got {t} < {t_prime}")
-    rho = np.asarray(rho, dtype=complex)
-    v_t = interaction_coupling(spec, t)
-    v_p = interaction_coupling(spec, t_prime)
-    return f_value * (v_t @ v_p @ rho - v_p @ rho @ v_t) + np.conj(f_value) * (
-        rho @ v_p @ v_t - v_t @ rho @ v_p
-    )
 
 
 class _FullHistory:

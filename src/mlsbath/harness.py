@@ -3,8 +3,8 @@
 Configuration format
 --------------------
 Plain INI (``configparser``): typed ``key = value`` pairs in sections.
-Unknown keys are rejected.  All sections except ``[system]`` and
-``[spectrum]`` are optional.
+Unknown keys and non-finite numbers are rejected.  All sections except
+``[system]`` and ``[spectrum]`` are optional.
 
 ``[system]``  (keys per kind; a key of another kind is rejected)
     kind = three-level | two-level | multilevel | custom
@@ -31,7 +31,7 @@ Unknown keys are rejected.  All sections except ``[system]`` and
 ``[sweep]``
     kind = spectral-center | spectral-area | levels | correlator |
            rpa-width | rpa-area
-    grid = v1 v2 v3 ...       (strictly monotone)
+    grid = v1 v2 v3 ...       (strictly monotone; integers for levels)
     grid_log = start stop count   (log-spaced alternative)
 
 Outputs
@@ -46,11 +46,11 @@ per-point config hash.  Failed sweep points are recorded in-row in the
 
 from __future__ import annotations
 
+import cmath
 import configparser
 import csv
 import hashlib
 import json
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -102,14 +102,6 @@ _SECTIONS = {
     "rpa": ("rpa", RpaConfig, ("pole_shift", "ladder", "omega_max", "scan_points")),
 }
 
-# system kind -> the keys it accepts besides ``kind``
-_SYSTEM_KEYS = {
-    "three-level": (),
-    "two-level": (),
-    "multilevel": ("levels", "delta", "flat"),
-    "custom": ("energies", "coupling"),
-}
-
 _KNOWN_KEYS = {
     "system": {"kind"},  # plus the keys of the named kind
     "state": {"a", "b"},
@@ -126,36 +118,16 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SystemChoice:
-    """System selector kept symbolic so sweeps can rebuild at other sizes."""
+    """System selector kept symbolic so sweeps can rebuild at other sizes:
+    ``kind`` names a row of ``_SYSTEMS``, ``values`` maps each of the row's
+    builder arguments to its value (None for an absent optional key)."""
 
     kind: str
-    levels: int = 3
-    delta: float | None = None
-    flat: bool = False
-    energies: tuple[float, ...] | None = None
-    coupling: tuple[tuple[float, ...], ...] | None = None
+    values: dict
 
-    def build(self, levels: int | None = None) -> SystemSpec:
-        n = self.levels if levels is None else levels
-        if self.kind == "three-level":
-            return build_three_level()
-        if self.kind == "two-level":
-            return build_two_level()
-        if self.kind == "multilevel":
-            return build_multilevel(n, delta=self.delta, flat=self.flat)
-        if self.kind == "custom":
-            return SystemSpec(np.array(self.energies), np.array(self.coupling))
-        raise ConfigError(f"unknown system kind {self.kind!r}")
-
-    def normalized(self) -> "SystemChoice":
-        """Map NaN placeholders to None and validate by building once."""
-        delta = None if (self.delta is None or math.isnan(self.delta)) else self.delta
-        choice = replace(self, delta=delta)
-        try:
-            choice.build()
-        except ValueError as exc:
-            raise ConfigError(f"[system] invariant violation: {exc}") from exc
-        return choice
+    def build(self) -> SystemSpec:
+        builder, _ = _SYSTEMS[self.kind]
+        return builder(**self.values)
 
 
 @dataclass(frozen=True)
@@ -171,29 +143,19 @@ class ScenarioConfig:
 
     def canonical_text(self) -> str:
         """Deterministic key=value rendering used for hashing and sidecars."""
-        lines = ["[system]", f"kind = {self.system.kind}"]
-        if self.system.kind == "multilevel":
-            lines.append(f"levels = {self.system.levels}")
-            lines.append(f"flat = {str(self.system.flat).lower()}")
-            if self.system.delta is not None:
-                lines.append(f"delta = {_fmt(self.system.delta)}")
-        if self.system.kind == "custom":
-            lines.append("energies = " + " ".join(_fmt(e) for e in self.system.energies))
-            lines.append(
-                "coupling = "
-                + "; ".join(" ".join(_fmt(v) for v in row) for row in self.system.coupling)
-            )
+        system = self.system
+        lines = ["[system]", f"kind = {system.kind}"]
+        for key, arg, _, _ in _SYSTEMS[system.kind][1]:
+            if system.values[arg] is not None:
+                lines.append(f"{key} = {_text(system.values[arg])}")
         lines += ["[state]", f"a = {self.state.a!r}", f"b = {self.state.b!r}", "[spectrum]"]
         m = self.model
         lines.append(f"kind = {m.kind}")
         lines += [f"{key} = {_fmt(getattr(m, field))}" for key, field in m.ini_keys.items()]
-        for name, (field, cls, keys) in _SECTIONS.items():
-            config, default = getattr(self, field), cls()
+        for name, (field, _, keys) in _SECTIONS.items():
+            config = getattr(self, field)
             lines.append(f"[{name}]")
-            for key in keys:
-                value = getattr(config, key)
-                text = _fmt(value) if isinstance(getattr(default, key), float) else value
-                lines.append(f"{key} = {text}")
+            lines += [f"{key} = {_text(getattr(config, key))}" for key in keys]
         return "\n".join(lines) + "\n"
 
     def config_hash(self) -> str:
@@ -216,8 +178,12 @@ class SweepSpec:
         diffs = np.diff(self.grid)
         if len(self.grid) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ConfigError("sweep grid must be strictly monotone")
-        if self.kind == "levels" and self.base.system.kind != "multilevel":
-            raise ConfigError("levels sweep requires a multilevel base system")
+        if self.kind == "levels":
+            if self.base.system.kind != "multilevel":
+                raise ConfigError("levels sweep requires a multilevel base system")
+            for value in self.grid:
+                if not float(value).is_integer():
+                    raise ConfigError(f"levels sweep grid holds a non-integer {_fmt(value)}")
         if self.kind == "spectral-center" and "center" not in self.base.model.ini_keys:
             raise ConfigError(
                 f"spectral-center sweep needs a spectrum with a center, not {self.base.model.kind}"
@@ -228,15 +194,36 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _text(value) -> str:
+    """INI text of a parsed value: the inverse of its cast."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        # rows of a matrix are separated by ';', numbers by spaces
+        return ("; " if isinstance(value[0], tuple) else " ").join(_text(v) for v in value)
+    return _fmt(value) if isinstance(value, float) else str(value)
+
+
 # --- parsing -----------------------------------------------------------------
 
 
-def _typed(section, key, cast, default=None, *, path="<config>", what=None):
-    """``cast(section[key])``, or ``default`` when the key is absent (required
-    when ``default`` is None); a value ``cast`` rejects raises ConfigError
-    naming the file, section and key, and ``what`` (default: the cast's name)."""
+REQUIRED = object()  # the ``default`` of a key that must be present
+
+
+def _finite(value) -> bool:
+    """False when ``value`` is, or holds, a non-finite float or complex."""
+    if isinstance(value, tuple):
+        return all(_finite(v) for v in value)
+    return not isinstance(value, (float, complex)) or cmath.isfinite(value)
+
+
+def _typed(section, key, cast, default=REQUIRED, *, path="<config>", what=None):
+    """``cast(section[key])``, or ``default`` when the key is absent (an
+    error when it is REQUIRED).  A value ``cast`` rejects raises ConfigError
+    naming the file, section and key, and ``what`` (default: the cast's
+    description); so does a value that is or holds inf or NaN."""
     if key not in section:
-        if default is None:
+        if default is REQUIRED:
             raise ConfigError(f"{path}: [{section.name}] missing required key {key!r}")
         return default
     raw = section[key]
@@ -245,11 +232,15 @@ def _typed(section, key, cast, default=None, *, path="<config>", what=None):
             if raw.lower() not in ("true", "false"):
                 raise ValueError(raw)
             return raw.lower() == "true"
-        return cast(raw)
+        value = cast(raw)
     except ValueError as exc:
+        what = what or _WHAT.get(cast, cast.__name__)
         raise ConfigError(
-            f"{path}: [{section.name}] {key} = {raw!r} is not a valid {what or cast.__name__}"
+            f"{path}: [{section.name}] {key} = {raw!r} is not a valid {what}"
         ) from exc
+    if not _finite(value):
+        raise ConfigError(f"{path}: [{section.name}] {key} = {raw!r} is not finite")
+    return value
 
 
 def _numbers(raw: str) -> tuple[float, ...]:
@@ -260,27 +251,40 @@ def _rows(raw: str) -> tuple[tuple[float, ...], ...]:
     return tuple(_numbers(row) for row in raw.split(";") if row.strip())
 
 
+_WHAT = {_numbers: "list of numbers", _rows: "list of ';'-separated rows of numbers"}
+
+
 def _log_grid(raw: str) -> tuple[float, ...]:
     start, stop, count = raw.split()
     start, stop = float(start), float(stop)
-    if not (start > 0 and stop > 0):
+    if not (0 < start < np.inf and 0 < stop < np.inf):
         raise ValueError(raw)
     return tuple(np.logspace(np.log10(start), np.log10(stop), int(count)))
 
 
-def _family(section, path: str) -> type:
-    """The spectral family named by ``[spectrum] kind``."""
-    kind = _typed(section, "kind", str, path=path)
-    if kind not in FAMILIES:
-        raise ConfigError(f"{path}: [spectrum] unknown kind {kind!r}")
-    return FAMILIES[kind]
+# system kind -> (builder, entries); each entry is (INI key, builder
+# argument, cast, default) in canonical order, and the keys are the only
+# ones the kind accepts besides ``kind``
+_SYSTEMS = {
+    "three-level": (build_three_level, ()),
+    "two-level": (build_two_level, ()),
+    "multilevel": (build_multilevel, (
+        ("levels", "n_levels", int, REQUIRED),
+        ("flat", "flat", bool, False),
+        ("delta", "delta", float, None),
+    )),
+    "custom": (SystemSpec, (
+        ("energies", "energies", _numbers, REQUIRED),
+        ("coupling", "coupling", _rows, REQUIRED),
+    )),
+}
 
 
-def _system_kind(section, path: str) -> str:
-    """The system kind named by ``[system] kind``."""
+def _kind(section, table: dict, path: str) -> str:
+    """``section``'s ``kind``, which must be a key of ``table``."""
     kind = _typed(section, "kind", str, path=path)
-    if kind not in _SYSTEM_KEYS:
-        raise ConfigError(f"{path}: [system] unknown kind {kind!r}")
+    if kind not in table:
+        raise ConfigError(f"{path}: [{section.name}] unknown kind {kind!r}")
     return kind
 
 
@@ -290,9 +294,9 @@ def _check_known_keys(parser: configparser.ConfigParser, path: str) -> None:
             raise ConfigError(f"{path}: unknown section [{name}]")
         known = _KNOWN_KEYS[name]
         if name == "system":
-            known = known | set(_SYSTEM_KEYS[_system_kind(parser[name], path)])
+            known = known | {key for key, *_ in _SYSTEMS[_kind(parser[name], _SYSTEMS, path)][1]}
         if name == "spectrum":
-            known = known | set(_family(parser[name], path).ini_keys)
+            known = known | set(FAMILIES[_kind(parser[name], FAMILIES, path)].ini_keys)
         extra = set(parser[name]) - known
         if extra:
             raise ConfigError(f"{path}: unknown key(s) {sorted(extra)} in [{name}]")
@@ -302,32 +306,22 @@ def _parse_system(parser, path) -> SystemChoice:
     if "system" not in parser:
         raise ConfigError(f"{path}: missing [system] section")
     sec = parser["system"]
-    kind = _system_kind(sec, path)
-    if kind in ("three-level", "two-level"):
-        return SystemChoice(kind=kind)
-    if kind == "multilevel":
-        return SystemChoice(
-            kind=kind,
-            levels=_typed(sec, "levels", int, path=path),
-            delta=_typed(sec, "delta", float, default=math.nan, path=path),
-            flat=_typed(sec, "flat", bool, default=False, path=path),
-        ).normalized()
-    # custom
-    energies = _typed(sec, "energies", _numbers, path=path, what="list of numbers")
-    coupling = _typed(sec, "coupling", _rows, path=path,
-                      what="list of ';'-separated rows of numbers")
+    kind = _kind(sec, _SYSTEMS, path)
+    values = {arg: _typed(sec, key, cast, default, path=path)
+              for key, arg, cast, default in _SYSTEMS[kind][1]}
+    choice = SystemChoice(kind, values)
     try:
-        SystemSpec(np.array(energies), np.array(coupling))
+        choice.build()
     except ValueError as exc:
         raise ConfigError(f"{path}: [system] invariant violation: {exc}") from exc
-    return SystemChoice(kind=kind, levels=len(energies), energies=energies, coupling=coupling)
+    return choice
 
 
 def _parse_spectrum(parser, path) -> SpectralModel:
     if "spectrum" not in parser:
         raise ConfigError(f"{path}: missing [spectrum] section")
     sec = parser["spectrum"]
-    family = _family(sec, path)
+    family = FAMILIES[_kind(sec, FAMILIES, path)]
     fields = {field: _typed(sec, key, float, path=path) for key, field in family.ini_keys.items()}
     try:
         return family(**fields)
@@ -497,9 +491,8 @@ def _point_scenario(sweep: SweepSpec, value: float) -> ScenarioConfig:
         key = {"spectral-center": "center", "rpa-width": list(ini_keys)[-1]}.get(kind, "area")
         return replace(base, model=replace(base.model, **{ini_keys[key]: value}))
     if kind == "levels":
-        levels = int(round(value))
-        system = replace(base.system, kind="multilevel", levels=levels)
-        return replace(base, system=system)
+        values = {**base.system.values, "n_levels": int(value)}
+        return replace(base, system=replace(base.system, values=values))
     if kind == "correlator":
         return base
     raise ConfigError(f"unknown sweep kind {kind!r}")

@@ -35,8 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .model import QubitInitialState, SystemSpec
 from .spectra import SpectralModel, evaluate
@@ -162,6 +160,11 @@ def _channel_integral(
 ) -> float:
     """integral of Re[ c g I / ((y + i shift)(y + i shift - 4 g I)) ] d omega
     over the spectral support, with y = slope*omega + offset."""
+    # imported here, not at module level, so that ``import mlsbath`` loads
+    # neither scipy.integrate nor scipy.optimize
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
     lo, hi = model.support()
     lo = max(lo, -cfg.omega_max)
     hi = min(hi, cfg.omega_max)

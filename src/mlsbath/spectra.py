@@ -18,9 +18,9 @@ evaluated from each family's closed form: a sinc for the rectangle, one
 exponential for the Lorentzian, and two Kummer functions for the
 power-Gaussian (Gradshteyn & Ryzhik 3.462.1), all divided through by the
 area.  Each closed form gives the one-sided limit ``F(0+) = area``
-exactly at ``tau = 0``.  :func:`quad_correlator`, adaptive oscillatory
-quadrature of the density, is the reference (oracle) the closed forms
-are tested against; nothing outside the tests calls it.
+exactly at ``tau = 0``.  The tests check the closed forms against
+adaptive oscillatory quadrature of the density (``quad_correlator`` in
+``tests/oracles.py``).
 
 For the integrator's history sums, :func:`correlator_modes` writes the
 rectangular and Lorentzian correlators on a finite grid as a sum of
@@ -49,7 +49,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 from scipy.special import hyp1f1, poch, roots_legendre
 
@@ -59,9 +58,7 @@ __all__ = [
     "PowerGaussian",
     "SpectralModel",
     "FAMILIES",
-    "QuadratureError",
     "evaluate",
-    "quad_correlator",
     "correlator",
     "correlator_table",
     "ExpModes",
@@ -75,14 +72,6 @@ MODE_TOLERANCE = 1e-12
 # operations) nears the full history sum (2 k M^2 at step k) on grids of
 # a few thousand steps.
 MAX_MODES = 256
-# Absolute tolerance and subdivision cap of each adaptive rule in the
-# quadrature oracle.
-QUAD_ABS_TOL = 1e-10
-QUAD_LIMIT = 256
-
-
-class QuadratureError(RuntimeError):
-    """Raised when adaptive quadrature cannot reach the requested tolerance."""
 
 
 @dataclass(frozen=True)
@@ -239,69 +228,6 @@ def evaluate(model: SpectralModel, omega):
     """Spectral density I(omega); accepts scalars or arrays."""
     out = model.density(np.asarray(omega, dtype=float))
     return out if out.ndim else float(out)
-
-
-def _effective_support(model: SpectralModel) -> tuple[float, float]:
-    """Support clipped where the density is provably negligible."""
-    lo, hi = model.support()
-    if isinstance(model, PowerGaussian):
-        # Gaussian envelope below ~1e-21 of the peak beyond 16 cutoffs
-        return lo, min(hi, 16.0 * model.cutoff)
-    return lo, hi
-
-
-def quad_correlator(model: SpectralModel, tau: float) -> complex:
-    """F(tau) for tau > 0 by adaptive oscillatory quadrature: the
-    reference the closed forms are tested against.
-
-    Finite (or finite-after-truncation) supports use the
-    oscillatory-weight rule on the interval; the Lorentzian's heavy
-    tails use the Fourier-integral rule on each half line, which
-    subdivides by oscillation cycles and so stays accurate for large
-    tau.  When tau is so small that not even a fraction of a cycle fits
-    across the density, plain adaptive quadrature takes over.  Each rule
-    is asked for ``QUAD_ABS_TOL`` with at most ``QUAD_LIMIT``
-    subdivisions; a summed error estimate above ``100 * QUAD_ABS_TOL``
-    raises QuadratureError.
-    """
-    lo, hi = _effective_support(model)
-    f = lambda w: evaluate(model, w)
-    opts = dict(epsabs=QUAD_ABS_TOL, epsrel=1e-12, limit=QUAD_LIMIT)
-    if np.isfinite(lo) and np.isfinite(hi):
-        osc_scale = max(abs(lo), abs(hi))
-    else:
-        osc_scale = max(abs(model.center), model.width, 1.0)
-    pieces = []  # (re, im, error estimate)
-    if tau * osc_scale < 1e-3:
-        # oscillation negligible; split heavy-tailed supports at the peak
-        bounds = [lo, hi] if np.isfinite(lo) else [lo, model.center, hi]
-        for seg_lo, seg_hi in zip(bounds, bounds[1:]):
-            re, e1 = quad(lambda w: f(w) * np.cos(w * tau), seg_lo, seg_hi, **opts)
-            im, e2 = quad(lambda w: f(w) * np.sin(w * tau), seg_lo, seg_hi, **opts)
-            pieces.append((re, im, e1 + e2))
-    elif np.isfinite(lo) and np.isfinite(hi):
-        re, re_err = quad(f, lo, hi, weight="cos", wvar=tau, **opts)
-        im, im_err = quad(f, lo, hi, weight="sin", wvar=tau, **opts)
-        pieces.append((re, im, re_err + im_err))
-    else:
-        # split the line at the density's peak
-        split = model.center
-        re1, e1 = quad(f, split, np.inf, weight="cos", wvar=tau, **opts)
-        im1, e2 = quad(f, split, np.inf, weight="sin", wvar=tau, **opts)
-        pieces.append((re1, im1, e1 + e2))
-        # map (-inf, split] to [-split, inf) via omega -> -omega
-        g = lambda u: evaluate(model, -u)
-        re2, e3 = quad(g, -split, np.inf, weight="cos", wvar=tau, **opts)
-        im2, e4 = quad(g, -split, np.inf, weight="sin", wvar=tau, **opts)
-        pieces.append((re2, -im2, e3 + e4))
-    value = sum(p[0] for p in pieces) + 1j * sum(p[1] for p in pieces)
-    err = sum(p[2] for p in pieces)
-    if err > 100.0 * QUAD_ABS_TOL:
-        raise QuadratureError(
-            f"correlator quadrature at tau={tau} did not converge: "
-            f"estimated error {err:.3e} exceeds {100.0 * QUAD_ABS_TOL:.3e}"
-        )
-    return value
 
 
 def correlator(model: SpectralModel, tau: float) -> complex:

@@ -1,0 +1,108 @@
+"""Reference implementations ("oracles") the fast paths are tested against.
+
+Nothing in ``mlsbath`` calls these.  Each is the slow, generic form of a
+production path:
+
+* :func:`quad_correlator` -- the retarded correlator by adaptive
+  oscillatory quadrature of the spectral density, against which every
+  family's closed-form ``correlator`` is checked;
+* :func:`kernel_apply` -- the memory-kernel action at one time pair,
+  against which the integrator's factorized history sums are checked.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy.integrate import quad
+
+from mlsbath.model import SystemSpec, interaction_coupling
+from mlsbath.spectra import PowerGaussian, SpectralModel, evaluate
+
+# Absolute tolerance and subdivision cap of each adaptive rule in the
+# quadrature oracle.
+QUAD_ABS_TOL = 1e-10
+QUAD_LIMIT = 256
+
+
+class QuadratureError(RuntimeError):
+    """Raised when adaptive quadrature cannot reach the requested tolerance."""
+
+
+def _effective_support(model: SpectralModel) -> tuple[float, float]:
+    """Support clipped where the density is provably negligible."""
+    lo, hi = model.support()
+    if isinstance(model, PowerGaussian):
+        # Gaussian envelope below ~1e-21 of the peak beyond 16 cutoffs
+        return lo, min(hi, 16.0 * model.cutoff)
+    return lo, hi
+
+
+def quad_correlator(model: SpectralModel, tau: float) -> complex:
+    """F(tau) for tau > 0 by adaptive oscillatory quadrature.
+
+    Finite (or finite-after-truncation) supports use the
+    oscillatory-weight rule on the interval; the Lorentzian's heavy
+    tails use the Fourier-integral rule on each half line, which
+    subdivides by oscillation cycles and so stays accurate for large
+    tau.  When tau is so small that not even a fraction of a cycle fits
+    across the density, plain adaptive quadrature takes over.  Each rule
+    is asked for ``QUAD_ABS_TOL`` with at most ``QUAD_LIMIT``
+    subdivisions; a summed error estimate above ``100 * QUAD_ABS_TOL``
+    raises QuadratureError.
+    """
+    lo, hi = _effective_support(model)
+    f = lambda w: evaluate(model, w)
+    opts = dict(epsabs=QUAD_ABS_TOL, epsrel=1e-12, limit=QUAD_LIMIT)
+    if np.isfinite(lo) and np.isfinite(hi):
+        osc_scale = max(abs(lo), abs(hi))
+    else:
+        osc_scale = max(abs(model.center), model.width, 1.0)
+    pieces = []  # (re, im, error estimate)
+    if tau * osc_scale < 1e-3:
+        # oscillation negligible; split heavy-tailed supports at the peak
+        bounds = [lo, hi] if np.isfinite(lo) else [lo, model.center, hi]
+        for seg_lo, seg_hi in zip(bounds, bounds[1:]):
+            re, e1 = quad(lambda w: f(w) * np.cos(w * tau), seg_lo, seg_hi, **opts)
+            im, e2 = quad(lambda w: f(w) * np.sin(w * tau), seg_lo, seg_hi, **opts)
+            pieces.append((re, im, e1 + e2))
+    elif np.isfinite(lo) and np.isfinite(hi):
+        re, re_err = quad(f, lo, hi, weight="cos", wvar=tau, **opts)
+        im, im_err = quad(f, lo, hi, weight="sin", wvar=tau, **opts)
+        pieces.append((re, im, re_err + im_err))
+    else:
+        # split the line at the density's peak
+        split = model.center
+        re1, e1 = quad(f, split, np.inf, weight="cos", wvar=tau, **opts)
+        im1, e2 = quad(f, split, np.inf, weight="sin", wvar=tau, **opts)
+        pieces.append((re1, im1, e1 + e2))
+        # map (-inf, split] to [-split, inf) via omega -> -omega
+        g = lambda u: evaluate(model, -u)
+        re2, e3 = quad(g, -split, np.inf, weight="cos", wvar=tau, **opts)
+        im2, e4 = quad(g, -split, np.inf, weight="sin", wvar=tau, **opts)
+        pieces.append((re2, -im2, e3 + e4))
+    value = sum(p[0] for p in pieces) + 1j * sum(p[1] for p in pieces)
+    err = sum(p[2] for p in pieces)
+    if err > 100.0 * QUAD_ABS_TOL:
+        raise QuadratureError(
+            f"correlator quadrature at tau={tau} did not converge: "
+            f"estimated error {err:.3e} exceeds {100.0 * QUAD_ABS_TOL:.3e}"
+        )
+    return value
+
+
+def kernel_apply(
+    spec: SystemSpec, f_value: complex, t: float, t_prime: float, rho: np.ndarray
+) -> np.ndarray:
+    """Action of the memory kernel at times (t, t') on a state matrix.
+
+    ``f_value`` is the correlator evaluated at ``t - t_prime``.  The
+    result is traceless for any input and Hermitian for Hermitian input.
+    """
+    if t < t_prime:
+        raise ValueError(f"need t >= t_prime, got {t} < {t_prime}")
+    rho = np.asarray(rho, dtype=complex)
+    v_t = interaction_coupling(spec, t)
+    v_p = interaction_coupling(spec, t_prime)
+    return f_value * (v_t @ v_p @ rho - v_p @ rho @ v_t) + np.conj(f_value) * (
+        rho @ v_p @ v_t - v_t @ rho @ v_p
+    )

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from mlsbath.evolve import EvolutionConfig, integrate, kernel_apply
+from mlsbath.evolve import EvolutionConfig, integrate
 from mlsbath.model import (
     build_multilevel,
     build_three_level,
@@ -22,7 +22,9 @@ from mlsbath.model import (
 )
 from mlsbath.rates import FitWindow, extract_rates
 from mlsbath.rpa import RpaConfig, delta_n_total
-from mlsbath.spectra import Lorentzian, PowerGaussian, Rectangular, correlator, quad_correlator
+from mlsbath.spectra import Lorentzian, PowerGaussian, Rectangular, correlator
+
+from oracles import kernel_apply, quad_correlator
 
 STATE = default_initial_state()
 WINDOW = FitWindow(1.0, 2.5)

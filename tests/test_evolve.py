@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mlsbath import evolve
-from mlsbath.evolve import EvolutionConfig, IntegrationError, integrate, kernel_apply
+from mlsbath.evolve import EvolutionConfig, IntegrationError, integrate
 from mlsbath.model import (
     SystemSpec,
     build_multilevel,
@@ -20,6 +20,8 @@ from mlsbath.spectra import (
     correlator_modes,
     correlator_table,
 )
+
+from oracles import kernel_apply
 
 
 def random_hermitian(rng, m):

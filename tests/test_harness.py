@@ -68,6 +68,15 @@ omega_max = 6.0
 points = 81
 """
 
+# [system] sections swapped into BASE_CONFIG for the golden hashes of the
+# kinds and key sets no committed config uses
+SYSTEM_VARIANTS = {
+    "custom": "kind = custom\nenergies = 0.5 0.5 2.5\ncoupling = 0 0.1 0; 0.1 0 0.1; 0 0.1 0",
+    "two-level": "kind = two-level",
+    "multilevel-flat": "kind = multilevel\nlevels = 5\nflat = true",
+    "multilevel-flat-delta": "kind = multilevel\nlevels = 4\nflat = true\ndelta = 3.5",
+}
+
 
 def write(tmp_path, text, name="run.ini"):
     path = tmp_path / name
@@ -162,7 +171,7 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"\[system\] unknown kind 'five-level'"):
             load_config(write(tmp_path, text))
 
-    @pytest.mark.parametrize("grid_log", ["0 10 3", "1 -10 3", "-1 10 3", "nan 10 3"])
+    @pytest.mark.parametrize("grid_log", ["0 10 3", "1 -10 3", "-1 10 3", "nan 10 3", "1 inf 3"])
     def test_log_grid_needs_positive_ends(self, tmp_path, grid_log):
         text = BASE_CONFIG + f"\n[sweep]\nkind = spectral-area\ngrid_log = {grid_log}\n"
         path = write(tmp_path, text)
@@ -183,8 +192,30 @@ class TestConfigParsing:
              "kind = custom\nenergies = 0 0 x\ncoupling = 0 0.1 0; 0.1 0 0.1; 0 0.1 0",
              r"\[system\] energies = '0 0 x'"),
             ("t_hi = 0.5", "t_hi = 0.5\n[state]\na = 1.0", r"\[state\] missing required key 'b'"),
+            ("width = 8.0", "width = inf", r"\[spectrum\] width = 'inf' is not finite$"),
+            ("center = 4.0", "center = nan", r"\[spectrum\] center = 'nan' is not finite$"),
+            ("area = 5.0", "area = inf", r"\[spectrum\] area = 'inf' is not finite$"),
+            ("t_max = 0.5\ndt", "t_max = inf\ndt", r"\[evolution\] t_max = 'inf' is not finite$"),
+            ("dt = 0.005", "dt = nan", r"\[evolution\] dt = 'nan' is not finite$"),
+            ("t_hi = 0.5", "t_hi = 0.5\n[state]\na = nan\nb = 1",
+             r"\[state\] a = 'nan' is not finite$"),
+            ("t_hi = 0.5", "t_hi = 0.5\n[state]\na = 1\nb = 0+infj",
+             r"\[state\] b = '0\+infj' is not finite$"),
+            # NaN must not stand in for an absent delta
+            ("kind = three-level", "kind = multilevel\nlevels = 4\ndelta = nan",
+             r"\[system\] delta = 'nan' is not finite$"),
+            ("kind = three-level", "kind = custom\nenergies = 0 nan\ncoupling = 0 0.1; 0.1 0",
+             r"\[system\] energies = '0 nan' is not finite$"),
+            ("kind = three-level", "kind = custom\nenergies = 0 1\ncoupling = 0 inf; inf 0",
+             r"\[system\] coupling = '0 inf; inf 0' is not finite$"),
+            ("t_hi = 0.5", "t_hi = 0.5\n[sweep]\nkind = spectral-area\ngrid = 1 inf",
+             r"\[sweep\] grid = '1 inf' is not finite$"),
+            ("t_hi = 0.5", "t_hi = 0.5\n[table]\nt_max = inf",
+             r"\[table\] t_max = 'inf' is not finite$"),
         ],
-        ids=["grid", "grid_log", "energies", "state-without-b"],
+        ids=["grid", "grid_log", "energies", "state-without-b", "inf-width", "nan-center",
+             "inf-area", "inf-t_max", "nan-dt", "nan-state-a", "inf-state-b", "nan-delta",
+             "nan-energies", "inf-coupling", "inf-grid", "inf-table-t_max"],
     )
     def test_malformed_value_names_file_section_and_key(self, tmp_path, old, new, message):
         path = write(tmp_path, BASE_CONFIG.replace(old, new))
@@ -249,12 +280,18 @@ class TestConfigParsing:
             ("rpa_point", "94e451075ea90ad4"),
             ("rpa_width_sweep", "94e451075ea90ad4"),
             ("power_gaussian", "03dc635af53b9d65"),
+            ("custom", "4797cf09d7dc1bba"),
+            ("two-level", "fd9872db4fb4b791"),
+            ("multilevel-flat", "578599b78b420199"),
+            ("multilevel-flat-delta", "e49d17f32273061b"),
         ],
     )
     def test_config_hash_golden(self, tmp_path, name, expected):
         # every output file carries this hash, so its text must not drift
         if name == "power_gaussian":
             path = write(tmp_path, POWER_GAUSSIAN_CONFIG)
+        elif name in SYSTEM_VARIANTS:
+            path = write(tmp_path, BASE_CONFIG.replace("kind = three-level", SYSTEM_VARIANTS[name]))
         else:
             path = CONFIGS / f"{name}.ini"
         scenario, _, _ = load_config(path)
@@ -379,6 +416,15 @@ class TestSweeps:
         _, sweep, _ = load_config(write(tmp_path, text))
         rows = run_sweep(sweep)
         assert all(r["status"] == "ok" for r in rows)
+
+    def test_levels_sweep_needs_integer_grid(self, tmp_path):
+        # rounding would run 2.5 as M = 2 under M = 2's hash, and 3.5 as M = 4
+        text = BASE_CONFIG.replace(
+            "kind = three-level", "kind = multilevel\nlevels = 3\nflat = true"
+        )
+        text += "\n[sweep]\nkind = levels\ngrid = 2 2.5 3.5\n"
+        with pytest.raises(ConfigError, match=r"levels sweep grid holds a non-integer 2\.5$"):
+            load_config(write(tmp_path, text))
 
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="sweep kind"):

@@ -12,8 +12,9 @@ from mlsbath.spectra import (
     correlator,
     correlator_table,
     evaluate,
-    quad_correlator,
 )
+
+from oracles import quad_correlator
 
 RECT_CASES = [Rectangular(5.0, 2.0, 1.0), Rectangular(50.0, 1.5, 1.0), Rectangular(5.0, 0.0, 1.0)]
 LOR_CASES = [Lorentzian(5.0, 2.0, 1.0), Lorentzian(50.0, 1.5, 1.0), Lorentzian(5.0, 1.5, 0.5)]
