@@ -19,8 +19,6 @@ from pathlib import Path
 from mlsbath.cli import main
 
 CONFIGS = Path(__file__).parent / "configs"
-out_root = Path(tempfile.mkdtemp(prefix="mlsbath-demo-"))
-print("writing outputs under", out_root)
 
 
 def run(*args):
@@ -30,27 +28,29 @@ def run(*args):
         raise SystemExit(code)
 
 
-run("rates", "--config", str(CONFIGS / "baseline_run.ini"), "--out", str(out_root / "base"))
-print((out_root / "base" / "rates.json").read_text().rstrip())
+with tempfile.TemporaryDirectory(prefix="mlsbath-demo-") as tmp:
+    out_root = Path(tmp)
+    print("writing outputs under", out_root)
 
-run("spectrum-table", "--config", str(CONFIGS / "baseline_run.ini"),
-    "--out", str(out_root / "base"))
-lines = (out_root / "base" / "spectrum.csv").read_text().splitlines()
-print("\n".join(lines[:3] + ["..."]))
+    run("rates", "--config", str(CONFIGS / "baseline_run.ini"), "--out", str(out_root / "base"))
+    print((out_root / "base" / "rates.json").read_text().rstrip())
 
-run("correlator-table", "--config", str(CONFIGS / "correlator_table.ini"),
-    "--out", str(out_root / "corr"))
-lines = (out_root / "corr" / "correlator.csv").read_text().splitlines()
-print("\n".join(lines[:3] + ["..."]))
+    run("spectrum-table", "--config", str(CONFIGS / "baseline_run.ini"),
+        "--out", str(out_root / "base"))
+    lines = (out_root / "base" / "spectrum.csv").read_text().splitlines()
+    print("\n".join(lines[:3] + ["..."]))
 
-run("sweep", "--config", str(CONFIGS / "center_sweep.ini"),
-    "--out", str(out_root / "center"), "--threads", "2")
-lines = (out_root / "center" / "sweep.csv").read_text().splitlines()
-print("\n".join(lines[:4] + ["..."]))
+    run("correlator-table", "--config", str(CONFIGS / "correlator_table.ini"),
+        "--out", str(out_root / "corr"))
+    lines = (out_root / "corr" / "correlator.csv").read_text().splitlines()
+    print("\n".join(lines[:3] + ["..."]))
 
-run("rpa", "--config", str(CONFIGS / "rpa_point.ini"), "--out", str(out_root / "rpa"))
-payload = json.loads((out_root / "rpa" / "rpa.json").read_text())
-print(f"N = {payload['n_total']:.6f}, Delta N = {payload['delta_n']:.6f}, "
-      f"ratio = {payload['ratio']:.4f}")
+    run("sweep", "--config", str(CONFIGS / "center_sweep.ini"),
+        "--out", str(out_root / "center"), "--threads", "2")
+    lines = (out_root / "center" / "sweep.csv").read_text().splitlines()
+    print("\n".join(lines[:4] + ["..."]))
 
-print("\nAll outputs written under", out_root)
+    run("rpa", "--config", str(CONFIGS / "rpa_point.ini"), "--out", str(out_root / "rpa"))
+    payload = json.loads((out_root / "rpa" / "rpa.json").read_text())
+    print(f"N = {payload['n_total']:.6f}, Delta N = {payload['delta_n']:.6f}, "
+          f"ratio = {payload['ratio']:.4f}")

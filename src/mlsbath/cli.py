@@ -2,24 +2,23 @@
 
 Subcommands::
 
-    mlsbath evolve           --config CFG --out DIR [--dt DT] [--tmax T]
-    mlsbath rates            --config CFG --out DIR [--dt DT] [--tmax T]
+    mlsbath evolve           --config CFG --out DIR
+    mlsbath rates            --config CFG --out DIR
     mlsbath sweep            --config CFG --out DIR [--threads N]
-    mlsbath correlator-table --config CFG --out DIR [--dt DT] [--tmax T]
+    mlsbath correlator-table --config CFG --out DIR
     mlsbath spectrum-table   --config CFG --out DIR
     mlsbath rpa              --config CFG --out DIR
 
-All subcommands read the INI configuration documented in
-:mod:`mlsbath.harness`, write their tables/JSON into ``--out``, and exit
-nonzero with a message on stderr when the configuration is invalid or a
-computation fails.
+All subcommands take every setting from the INI configuration
+documented in :mod:`mlsbath.harness`, write their tables/JSON into
+``--out``, and exit nonzero with a message on stderr when the
+configuration is invalid or a computation fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -39,12 +38,9 @@ from .rpa import delta_n_total
 from .spectra import correlator_table, evaluate
 
 
-def _add_common(sub: argparse.ArgumentParser, dt_tmax: bool = False) -> None:
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", required=True, help="configuration file (INI)")
     sub.add_argument("--out", required=True, help="output directory")
-    if dt_tmax:
-        sub.add_argument("--dt", type=float, default=None, help="override grid step")
-        sub.add_argument("--tmax", type=float, default=None, help="override end time")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,33 +49,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Zero-temperature multilevel decoherence toolkit",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    _add_common(subs.add_parser("evolve", help="integrate one trajectory"), dt_tmax=True)
-    _add_common(subs.add_parser("rates", help="integrate and fit decoherence rates"),
-                dt_tmax=True)
+    _add_common(subs.add_parser("evolve", help="integrate one trajectory"))
+    _add_common(subs.add_parser("rates", help="integrate and fit decoherence rates"))
     sweep = subs.add_parser("sweep", help="run a parameter sweep")
     _add_common(sweep)
     sweep.add_argument("--threads", type=int, default=1, help="worker process cap")
-    _add_common(subs.add_parser("correlator-table", help="tabulate the noise correlator"),
-                dt_tmax=True)
+    _add_common(subs.add_parser("correlator-table", help="tabulate the noise correlator"))
     _add_common(subs.add_parser("spectrum-table", help="tabulate the spectral density"))
     _add_common(subs.add_parser("rpa", help="total mode-number correction and fluctuation"))
     return parser
-
-
-def _apply_overrides(scenario, args):
-    evolution = scenario.evolution
-    if getattr(args, "dt", None) is not None:
-        evolution = replace(evolution, dt=args.dt)
-    if getattr(args, "tmax", None) is not None:
-        evolution = replace(evolution, t_max=args.tmax)
-    return replace(scenario, evolution=evolution)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scenario, sweep, table = load_config(args.config)
-        scenario = _apply_overrides(scenario, args)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
 
@@ -91,7 +75,6 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "sweep":
             if sweep is None:
                 raise ConfigError(f"{args.config}: sweep subcommand needs a [sweep] section")
-            sweep = replace(sweep, base=scenario)
             rows = run_sweep(sweep, threads=args.threads)
             write_sweep_csv(out / "sweep.csv", sweep, rows)
         elif args.command == "correlator-table":

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DensityMatrix, SystemSpec
+from .model import DensityMatrix, SystemSpec, interaction_coupling, require_finite
 from .spectra import ExpModes, SpectralModel, correlator_modes, correlator_table
 
 __all__ = ["EvolutionConfig", "Trajectory", "IntegrationError", "integrate"]
@@ -65,6 +65,7 @@ class EvolutionConfig:
     corrector_iterations: int = 2
 
     def __post_init__(self):
+        require_finite(self)
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.dt > MAX_STEP:
@@ -211,10 +212,7 @@ def integrate(
     else:
         history = _ModeHistory(modes, dt, m)
 
-    gaps = spec.energies[:, None] - spec.energies[None, :]
-    couplings = spec.coupling[None, :, :] * np.exp(
-        -1j * gaps[None, :, :] * times[:, None, None]
-    )
+    couplings = interaction_coupling(spec, times[:, None, None])
 
     # F(0) with its trapezoid weight: the newest term of S1 - S2, the
     # only one holding the state being corrected

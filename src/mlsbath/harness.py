@@ -27,7 +27,7 @@ Unknown keys and non-finite numbers are rejected.  All sections except
 ``[fit]``         t_lo, t_hi
 ``[rpa]``         pole_shift, ladder, omega_max, scan_points
 ``[table]``       t_max, dt (correlator table); omega_min, omega_max,
-                  points (spectrum table)
+                  points >= 1 (spectrum table)
 ``[sweep]``
     kind = spectral-center | spectral-area | levels | correlator |
            rpa-width | rpa-area
@@ -46,13 +46,13 @@ per-point config hash.  Failed sweep points are recorded in-row in the
 
 from __future__ import annotations
 
-import cmath
 import configparser
 import csv
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +66,7 @@ from .model import (
     build_two_level,
     default_initial_state,
     initial_density,
+    is_finite,
 )
 from .rates import FitWindow, RateSet, extract_rates
 from .rpa import RpaConfig, delta_n_total
@@ -210,13 +211,6 @@ def _text(value) -> str:
 REQUIRED = object()  # the ``default`` of a key that must be present
 
 
-def _finite(value) -> bool:
-    """False when ``value`` is, or holds, a non-finite float or complex."""
-    if isinstance(value, tuple):
-        return all(_finite(v) for v in value)
-    return not isinstance(value, (float, complex)) or cmath.isfinite(value)
-
-
 def _typed(section, key, cast, default=REQUIRED, *, path="<config>", what=None):
     """``cast(section[key])``, or ``default`` when the key is absent (an
     error when it is REQUIRED).  A value ``cast`` rejects raises ConfigError
@@ -238,7 +232,7 @@ def _typed(section, key, cast, default=REQUIRED, *, path="<config>", what=None):
         raise ConfigError(
             f"{path}: [{section.name}] {key} = {raw!r} is not a valid {what}"
         ) from exc
-    if not _finite(value):
+    if not is_finite(value):
         raise ConfigError(f"{path}: [{section.name}] {key} = {raw!r} is not finite")
     return value
 
@@ -251,7 +245,15 @@ def _rows(raw: str) -> tuple[tuple[float, ...], ...]:
     return tuple(_numbers(row) for row in raw.split(";") if row.strip())
 
 
-_WHAT = {_numbers: "list of numbers", _rows: "list of ';'-separated rows of numbers"}
+def _count(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise ValueError(raw)
+    return value
+
+
+_WHAT = {_numbers: "list of numbers", _rows: "list of ';'-separated rows of numbers",
+         _count: "positive integer"}
 
 
 def _log_grid(raw: str) -> tuple[float, ...]:
@@ -393,11 +395,10 @@ def load_config(path: str | Path) -> tuple[ScenarioConfig, SweepSpec | None, dic
     table = {}
     if "table" in parser:
         sec = parser["table"]
-        for key in ("t_max", "dt", "omega_min", "omega_max"):
+        for key in ("t_max", "dt", "omega_min", "omega_max", "points"):
             if key in sec:
-                table[key] = _typed(sec, key, float, path=str(path))
-        if "points" in sec:
-            table["points"] = _typed(sec, "points", int, path=str(path))
+                cast = _count if key == "points" else float
+                table[key] = _typed(sec, key, cast, path=str(path))
     return scenario, sweep, table
 
 
@@ -410,15 +411,9 @@ def run_trajectory(scenario: ScenarioConfig) -> Trajectory:
     return integrate(spec, scenario.model, rho0, scenario.evolution)
 
 
-def run_scenario(
-    scenario: ScenarioConfig | str | Path, out_dir: str | Path
-) -> tuple[Trajectory, RateSet]:
-    """Integrate, fit, and persist trajectory CSV plus rates JSON.
-
-    Accepts either a parsed ScenarioConfig or a configuration file path.
-    """
-    if not isinstance(scenario, ScenarioConfig):
-        scenario, _, _ = load_config(scenario)
+def run_scenario(scenario: ScenarioConfig, out_dir: str | Path) -> tuple[Trajectory, RateSet]:
+    """Integrate and fit ``scenario`` (from :func:`load_config`), and write
+    ``trajectory.csv`` and ``rates.json`` into ``out_dir``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     traj = run_trajectory(scenario)
@@ -482,9 +477,7 @@ def write_rates_json(
 # --- sweeps ------------------------------------------------------------------
 
 
-def _point_scenario(sweep: SweepSpec, value: float) -> ScenarioConfig:
-    base = sweep.base
-    kind = sweep.kind
+def _point_scenario(kind: str, base: ScenarioConfig, value: float) -> ScenarioConfig:
     if kind in ("spectral-center", "spectral-area", "rpa-area", "rpa-width"):
         ini_keys = base.model.ini_keys
         # rpa-width sweeps the family's last key: its width, or cutoff
@@ -512,16 +505,17 @@ def _rate_columns(rates: RateSet, traj: Trajectory) -> dict:
     }
 
 
-def evaluate_sweep_point(sweep: SweepSpec, value: float) -> dict:
-    """One sweep row; module-level so process pools can pickle it."""
+def evaluate_sweep_point(kind: str, base: ScenarioConfig, value: float) -> dict:
+    """The row of a ``kind`` sweep over ``base`` at grid ``value``;
+    module-level so process pools can pickle it."""
     row = {"parameter": value, "config_hash": "", "status": "ok"}
     try:
-        point = _point_scenario(sweep, value)
+        point = _point_scenario(kind, base, value)
         row["config_hash"] = point.config_hash()
-        if sweep.kind == "correlator":
+        if kind == "correlator":
             f_val = correlator(point.model, float(value))
             row.update({"re_f": f_val.real, "im_f": f_val.imag})
-        elif sweep.kind in ("rpa-width", "rpa-area"):
+        elif kind in ("rpa-width", "rpa-area"):
             spec = point.system.build()
             result = delta_n_total(spec, point.model, point.state, point.rpa)
             row.update(
@@ -543,13 +537,14 @@ def evaluate_sweep_point(sweep: SweepSpec, value: float) -> dict:
 
 def run_sweep(sweep: SweepSpec, threads: int = 1) -> list[dict]:
     """Evaluate every grid point (optionally in a process pool) and
-    return rows sorted by the swept parameter."""
-    values = list(sweep.grid)
+    return rows sorted by the swept parameter.  Each task carries one grid
+    value, not the whole grid."""
+    args = (repeat(sweep.kind), repeat(sweep.base), sweep.grid)
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(evaluate_sweep_point, [sweep] * len(values), values))
+            rows = list(pool.map(evaluate_sweep_point, *args))
     else:
-        rows = [evaluate_sweep_point(sweep, v) for v in values]
+        rows = list(map(evaluate_sweep_point, *args))
     rows.sort(key=lambda r: r["parameter"])
     return rows
 

@@ -7,8 +7,9 @@ The system is always specified in its eigenbasis.  Level indices are
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,6 +28,21 @@ __all__ = [
 QUBIT_ENERGY = 0.5
 THIRD_LEVEL_ENERGY = 2.5
 BASE_COUPLING = 0.1
+
+
+def is_finite(value) -> bool:
+    """False when ``value`` is, or holds, a non-finite float or complex."""
+    if isinstance(value, tuple):
+        return all(is_finite(v) for v in value)
+    return not isinstance(value, (float, complex)) or cmath.isfinite(value)
+
+
+def require_finite(config) -> None:
+    """Raise ValueError naming the first field of dataclass ``config`` that
+    is, or holds, inf or NaN."""
+    for f in fields(config):
+        if not is_finite(getattr(config, f.name)):
+            raise ValueError(f"{f.name} must be finite, got {getattr(config, f.name)!r}")
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -88,6 +104,7 @@ class QubitInitialState:
     b: complex
 
     def __post_init__(self):
+        require_finite(self)
         norm = abs(self.a) ** 2 + abs(self.b) ** 2
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"state not normalized: |a|^2+|b|^2 = {norm!r}")
@@ -208,12 +225,12 @@ def initial_density(state: QubitInitialState, n_levels: int) -> DensityMatrix:
     return DensityMatrix(rho)
 
 
-def interaction_coupling(spec: SystemSpec, t: float) -> np.ndarray:
-    """Interaction-picture coupling matrix at time t.
+def interaction_coupling(spec: SystemSpec, t: float | np.ndarray) -> np.ndarray:
+    """Interaction-picture coupling matrix at time t, or a stack of them when
+    t is an array that broadcasts against (M, M), such as shape (n, 1, 1).
 
-    Entry (n, r) is ``coupling[n, r] * exp(-1j*(E_n - E_r)*t)``; the
-    result is Hermitian for every t because the bare matrix is
-    real-symmetric.
+    Entry (n, r) is ``coupling[n, r] * exp(-1j*(E_n - E_r)*t)``; each
+    matrix is Hermitian because the bare matrix is real-symmetric.
     """
     gaps = spec.energies[:, None] - spec.energies[None, :]
     return spec.coupling * np.exp(-1j * gaps * t)

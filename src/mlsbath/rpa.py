@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import QubitInitialState, SystemSpec
+from .model import QubitInitialState, SystemSpec, require_finite
 from .spectra import SpectralModel, evaluate
 
 __all__ = [
@@ -70,6 +70,7 @@ class RpaConfig:
     scan_points: int = 10_000
 
     def __post_init__(self):
+        require_finite(self)
         if self.pole_shift <= 0:
             raise ValueError(f"pole_shift must be positive, got {self.pole_shift}")
         if self.ladder < 2:

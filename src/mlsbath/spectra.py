@@ -52,6 +52,8 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 from scipy.special import hyp1f1, poch, roots_legendre
 
+from .model import require_finite
+
 __all__ = [
     "Rectangular",
     "Lorentzian",
@@ -87,6 +89,7 @@ class Rectangular:
     ini_keys = {"area": "area", "center": "center", "width": "half_width"}
 
     def __post_init__(self):
+        require_finite(self)
         if self.area <= 0:
             raise ValueError(f"area must be positive, got {self.area}")
         if self.half_width <= 0:
@@ -136,6 +139,7 @@ class Lorentzian:
     ini_keys = {"area": "area", "center": "center", "width": "width"}
 
     def __post_init__(self):
+        require_finite(self)
         if self.area <= 0:
             raise ValueError(f"area must be positive, got {self.area}")
         if self.width <= 0:
@@ -174,6 +178,7 @@ class PowerGaussian:
     ini_keys = {"area": "area", "ohmicity": "ohmicity", "cutoff": "cutoff"}
 
     def __post_init__(self):
+        require_finite(self)
         if self.area <= 0:
             raise ValueError(f"area must be positive, got {self.area}")
         if self.cutoff <= 0:

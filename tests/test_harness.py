@@ -11,7 +11,6 @@ from mlsbath.evolve import Trajectory
 from mlsbath.harness import (
     ConfigError,
     SweepSpec,
-    evaluate_sweep_point,
     load_config,
     run_scenario,
     run_sweep,
@@ -212,10 +211,16 @@ class TestConfigParsing:
              r"\[sweep\] grid = '1 inf' is not finite$"),
             ("t_hi = 0.5", "t_hi = 0.5\n[table]\nt_max = inf",
              r"\[table\] t_max = 'inf' is not finite$"),
+            # 0 would write a header-only table, -3 numpy's unnamed error
+            ("t_hi = 0.5", "t_hi = 0.5\n[table]\npoints = 0",
+             r"\[table\] points = '0' is not a valid positive integer$"),
+            ("t_hi = 0.5", "t_hi = 0.5\n[table]\npoints = -3",
+             r"\[table\] points = '-3' is not a valid positive integer$"),
         ],
         ids=["grid", "grid_log", "energies", "state-without-b", "inf-width", "nan-center",
              "inf-area", "inf-t_max", "nan-dt", "nan-state-a", "inf-state-b", "nan-delta",
-             "nan-energies", "inf-coupling", "inf-grid", "inf-table-t_max"],
+             "nan-energies", "inf-coupling", "inf-grid", "inf-table-t_max", "zero-points",
+             "negative-points"],
     )
     def test_malformed_value_names_file_section_and_key(self, tmp_path, old, new, message):
         path = write(tmp_path, BASE_CONFIG.replace(old, new))
@@ -321,9 +326,10 @@ class TestRunScenario:
         assert "re_rho_1_1" in header and "im_rho_2_3" in header
         assert header[-3:] == ["population_2", "coherence_12", "leakage"]
 
-    def test_accepts_config_path_directly(self, tmp_path):
+    def test_relaxation_rate_positive(self, tmp_path):
+        scenario, _, _ = load_config(write(tmp_path, BASE_CONFIG))
         out = tmp_path / "out"
-        traj, rates = run_scenario(write(tmp_path, BASE_CONFIG), out)
+        traj, rates = run_scenario(scenario, out)
         assert (out / "trajectory.csv").exists()
         assert rates.relaxation_rate > 0
 
@@ -364,10 +370,11 @@ class TestSweeps:
         assert all(r["status"] == "ok" for r in rows)
 
     def test_serial_parallel_identical(self, tmp_path):
-        sweep = self.make_sweep(tmp_path, grid="2 5 8")
-        serial = run_sweep(sweep, threads=1)
-        parallel = run_sweep(sweep, threads=2)
-        assert serial == parallel
+        for kind, grid in [("spectral-area", "2 5 8"), ("correlator", "0 0.5 1.0 1.5")]:
+            sweep = self.make_sweep(tmp_path, kind=kind, grid=grid)
+            serial = run_sweep(sweep, threads=1)
+            parallel = run_sweep(sweep, threads=2)
+            assert serial == parallel
 
     def test_sweep_csv_and_sidecar(self, tmp_path):
         sweep = self.make_sweep(tmp_path, grid="2 5")
@@ -439,13 +446,17 @@ class TestCli:
         assert main(["rates", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
         assert (tmp_path / "r" / "rates.json").exists()
 
-    def test_overrides(self, tmp_path):
+    @pytest.mark.parametrize("flag", ["--dt", "--tmax"])
+    @pytest.mark.parametrize("command", ["evolve", "rates", "correlator-table"])
+    def test_no_step_or_end_time_flags(self, tmp_path, capsys, command, flag):
+        # [evolution] dt and t_max come only from the config file
         cfg = write(tmp_path, BASE_CONFIG)
         out = tmp_path / "o"
-        assert main(["evolve", "--config", str(cfg), "--out", str(out), "--dt", "0.01",
-                     "--tmax", "0.2"]) == 0
-        lines = (out / "trajectory.csv").read_text().splitlines()
-        assert len(lines) == 1 + 21
+        with pytest.raises(SystemExit) as info:
+            main([command, "--config", str(cfg), "--out", str(out), flag, "0.01"])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} 0.01" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_command(self, tmp_path):
         cfg = write(tmp_path, BASE_CONFIG + "\n[sweep]\nkind = spectral-area\ngrid = 2 5\n")

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from mlsbath.evolve import EvolutionConfig
 from mlsbath.model import (
     DensityMatrix,
     QubitInitialState,
@@ -15,6 +16,8 @@ from mlsbath.model import (
     initial_density,
     interaction_coupling,
 )
+from mlsbath.rpa import RpaConfig
+from mlsbath.spectra import Lorentzian, PowerGaussian, Rectangular
 
 
 class TestBuilders:
@@ -182,6 +185,12 @@ class TestInteractionCoupling:
             v = interaction_coupling(spec, t)
             assert np.max(np.abs(v - v.conj().T)) < 1e-14
 
+    def test_time_array_stacks_matrices(self):
+        spec = build_multilevel(7, delta=3.0)
+        times = np.arange(2501) * 0.001
+        stacked = interaction_coupling(spec, times[:, None, None])
+        assert np.array_equal(stacked, [interaction_coupling(spec, t) for t in times])
+
     def test_matches_elementwise_definition(self):
         # independent scalar-loop oracle for the vectorized phase matrix
         spec = build_multilevel(5, delta=3.0)
@@ -193,3 +202,25 @@ class TestInteractionCoupling:
                     -1j * (spec.energies[n] - spec.energies[r]) * t
                 )
                 assert got[n, r] == pytest.approx(expected, abs=1e-14)
+
+
+class TestFiniteFields:
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: QubitInitialState(math.nan, 1), "a"),
+            (lambda: EvolutionConfig(dt=math.nan), "dt"),
+            (lambda: EvolutionConfig(t_max=math.inf), "t_max"),
+            (lambda: Rectangular(math.nan, 0, 1), "area"),
+            (lambda: Lorentzian(1, 0, math.inf), "width"),
+            (lambda: PowerGaussian(1, math.nan, 1), "ohmicity"),
+            (lambda: RpaConfig(pole_shift=math.nan), "pole_shift"),
+            (lambda: RpaConfig(omega_max=math.inf), "omega_max"),
+        ],
+        ids=["state-a", "evolution-dt", "evolution-t_max", "rectangular-area",
+             "lorentzian-width", "power-gaussian-ohmicity", "rpa-pole_shift", "rpa-omega_max"],
+    )
+    def test_constructors_reject_non_finite(self, make, field):
+        # library callers skip the INI parser's finiteness check
+        with pytest.raises(ValueError, match=rf"^{field} must be finite, got (nan|inf)$"):
+            make()
