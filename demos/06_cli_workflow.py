@@ -6,7 +6,7 @@ Equivalent shell commands:
     mlsbath rates            --config demos/configs/baseline_run.ini    --out out/base
     mlsbath spectrum-table   --config demos/configs/baseline_run.ini    --out out/base
     mlsbath correlator-table --config demos/configs/correlator_table.ini --out out/corr
-    mlsbath sweep            --config demos/configs/center_sweep.ini    --out out/center --threads 2
+    mlsbath sweep            --config demos/configs/center_sweep.ini    --out out/center
     mlsbath rpa              --config demos/configs/rpa_point.ini       --out out/rpa
 
 Run:  python demos/06_cli_workflow.py   (a few seconds)
@@ -46,7 +46,7 @@ with tempfile.TemporaryDirectory(prefix="mlsbath-demo-") as tmp:
     print("\n".join(lines[:3] + ["..."]))
 
     run("sweep", "--config", str(CONFIGS / "center_sweep.ini"),
-        "--out", str(out_root / "center"), "--threads", "2")
+        "--out", str(out_root / "center"))
     lines = (out_root / "center" / "sweep.csv").read_text().splitlines()
     print("\n".join(lines[:4] + ["..."]))
 

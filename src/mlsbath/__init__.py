@@ -25,7 +25,7 @@ from .spectra import (
     correlator_table,
     evaluate,
 )
-from .evolve import EvolutionConfig, IntegrationError, Trajectory, integrate
+from .evolve import EvolutionConfig, IntegrationError, Trajectory, integrate, integrate_batch
 from .rates import ExponentialFit, FitWindow, RateSet, extract_rates, fit_exponential_decay
 from .rpa import (
     FluctuationResult,
@@ -67,6 +67,7 @@ __all__ = [
     "Trajectory",
     "IntegrationError",
     "integrate",
+    "integrate_batch",
     "FitWindow",
     "ExponentialFit",
     "RateSet",

@@ -4,7 +4,7 @@ Subcommands::
 
     mlsbath evolve           --config CFG --out DIR
     mlsbath rates            --config CFG --out DIR
-    mlsbath sweep            --config CFG --out DIR [--threads N]
+    mlsbath sweep            --config CFG --out DIR
     mlsbath correlator-table --config CFG --out DIR
     mlsbath spectrum-table   --config CFG --out DIR
     mlsbath rpa              --config CFG --out DIR
@@ -51,9 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     _add_common(subs.add_parser("evolve", help="integrate one trajectory"))
     _add_common(subs.add_parser("rates", help="integrate and fit decoherence rates"))
-    sweep = subs.add_parser("sweep", help="run a parameter sweep")
-    _add_common(sweep)
-    sweep.add_argument("--threads", type=int, default=1, help="worker process cap")
+    _add_common(subs.add_parser("sweep", help="run a parameter sweep"))
     _add_common(subs.add_parser("correlator-table", help="tabulate the noise correlator"))
     _add_common(subs.add_parser("spectrum-table", help="tabulate the spectral density"))
     _add_common(subs.add_parser("rpa", help="total mode-number correction and fluctuation"))
@@ -75,7 +73,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "sweep":
             if sweep is None:
                 raise ConfigError(f"{args.config}: sweep subcommand needs a [sweep] section")
-            rows = run_sweep(sweep, threads=args.threads)
+            rows = run_sweep(sweep)
             write_sweep_csv(out / "sweep.csv", sweep, rows)
         elif args.command == "correlator-table":
             t_max = table.get("t_max", scenario.evolution.t_max)

@@ -26,8 +26,9 @@ Unknown keys and non-finite numbers are rejected.  All sections except
 ``[evolution]``   t_max, dt, corrector_iterations
 ``[fit]``         t_lo, t_hi
 ``[rpa]``         pole_shift, ladder, omega_max, scan_points
-``[table]``       t_max, dt (correlator table); omega_min, omega_max,
-                  points >= 1 (spectrum table)
+``[table]``       t_max >= dt > 0 (correlator table); omega_min < omega_max,
+                  points >= 1 (spectrum table); an absent key takes its
+                  value from ``[evolution]`` or the family's window()
 ``[sweep]``
     kind = spectral-center | spectral-area | levels | correlator |
            rpa-width | rpa-area
@@ -41,7 +42,10 @@ full double precision (17 significant digits), so repeated runs are
 byte-identical.  Sweeps write a ``*.meta.ini`` sidecar echoing the
 resolved base configuration and its hash; every row carries the
 per-point config hash.  Failed sweep points are recorded in-row in the
-``status`` column and do not stop the sweep.
+``status`` column and do not stop the sweep.  The trajectories of a
+``spectral-area`` or ``spectral-center`` sweep step together as one
+batch (:func:`~mlsbath.evolve.integrate_batch`); their rows are the bytes
+one run per point would give.
 """
 
 from __future__ import annotations
@@ -50,14 +54,12 @@ import configparser
 import csv
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .evolve import EvolutionConfig, Trajectory, integrate
+from .evolve import EvolutionConfig, Trajectory, integrate, integrate_batch
 from .model import (
     QubitInitialState,
     SystemSpec,
@@ -399,7 +401,27 @@ def load_config(path: str | Path) -> tuple[ScenarioConfig, SweepSpec | None, dic
             if key in sec:
                 cast = _count if key == "points" else float
                 table[key] = _typed(sec, key, cast, path=str(path))
+        _check_table(table, scenario, f"{path}: [table]")
     return scenario, sweep, table
+
+
+def _check_table(table: dict, scenario: ScenarioConfig, where: str) -> None:
+    """Range checks of ``[table]``.  An end the file does not give is
+    checked, and named, with the value the subcommand uses instead: from
+    ``[evolution]``, or the spectral family's ``window()``."""
+    defaults = {"dt": scenario.evolution.dt, "t_max": scenario.evolution.t_max}
+    defaults["omega_min"], defaults["omega_max"] = scenario.model.window()
+    value = {key: table.get(key, default) for key, default in defaults.items()}
+
+    def text(key: str) -> str:
+        return f"{key} = {float(value[key])!r}" + ("" if key in table else " (default)")
+
+    if value["dt"] <= 0:
+        raise ConfigError(f"{where} {text('dt')} must be positive")
+    if value["t_max"] < value["dt"]:
+        raise ConfigError(f"{where} {text('t_max')} must be at least {text('dt')}")
+    if not value["omega_min"] < value["omega_max"]:
+        raise ConfigError(f"{where} {text('omega_min')} must be below {text('omega_max')}")
 
 
 # --- scenario run ------------------------------------------------------------
@@ -505,46 +527,72 @@ def _rate_columns(rates: RateSet, traj: Trajectory) -> dict:
     }
 
 
-def evaluate_sweep_point(kind: str, base: ScenarioConfig, value: float) -> dict:
-    """The row of a ``kind`` sweep over ``base`` at grid ``value``;
-    module-level so process pools can pickle it."""
-    row = {"parameter": value, "config_hash": "", "status": "ok"}
+def evaluate_sweep_points(kind: str, base: ScenarioConfig, values) -> list[dict]:
+    """The rows of a ``kind`` sweep over ``base`` at grid ``values``, in
+    grid order.  Their trajectories run as one batch, so the points must
+    share the system: true of every kind but ``levels``."""
+    rows = []
+    batch = []  # (row, scenario) of each trajectory point
+    for value in values:
+        row = {"parameter": value, "config_hash": "", "status": "ok"}
+        rows.append(row)
+        try:
+            point = _point_scenario(kind, base, value)
+            row["config_hash"] = point.config_hash()
+            if kind == "correlator":
+                f_val = correlator(point.model, float(value))
+                row.update({"re_f": f_val.real, "im_f": f_val.imag})
+            elif kind in ("rpa-width", "rpa-area"):
+                spec = point.system.build()
+                result = delta_n_total(spec, point.model, point.state, point.rpa)
+                row.update(
+                    {
+                        "n_total": result.n_total,
+                        "delta_n": result.delta_n,
+                        "ratio": result.ratio,
+                        "warnings": "; ".join(result.warnings),
+                    }
+                )
+            else:
+                batch.append((row, point))
+        except Exception as exc:  # failures stay in-row, sweep continues
+            row["status"] = f"error: {exc}"
+    if batch:
+        _add_rate_columns(batch)
+    return rows
+
+
+def _add_rate_columns(batch: list[tuple[dict, ScenarioConfig]]) -> None:
+    """Integrate the scenarios of ``batch``, which differ only in their
+    spectral model, in one call, and fill in each row's rates."""
     try:
-        point = _point_scenario(kind, base, value)
-        row["config_hash"] = point.config_hash()
-        if kind == "correlator":
-            f_val = correlator(point.model, float(value))
-            row.update({"re_f": f_val.real, "im_f": f_val.imag})
-        elif kind in ("rpa-width", "rpa-area"):
-            spec = point.system.build()
-            result = delta_n_total(spec, point.model, point.state, point.rpa)
-            row.update(
-                {
-                    "n_total": result.n_total,
-                    "delta_n": result.delta_n,
-                    "ratio": result.ratio,
-                    "warnings": "; ".join(result.warnings),
-                }
-            )
-        else:
-            traj = run_trajectory(point)
+        first = batch[0][1]
+        spec = first.system.build()
+        rho0 = initial_density(first.state, spec.n_levels)
+        trajectories = integrate_batch(spec, [point.model for _, point in batch], rho0,
+                                       first.evolution)
+    except Exception as exc:
+        trajectories = [exc] * len(batch)
+    for (row, point), traj in zip(batch, trajectories):
+        try:
+            if isinstance(traj, Exception):
+                raise traj
             rates = extract_rates(traj, point.window)
             row.update(_rate_columns(rates, traj))
-    except Exception as exc:  # failures stay in-row, sweep continues
-        row["status"] = f"error: {exc}"
-    return row
+        except Exception as exc:  # failures stay in-row, sweep continues
+            row["status"] = f"error: {exc}"
 
 
-def run_sweep(sweep: SweepSpec, threads: int = 1) -> list[dict]:
-    """Evaluate every grid point (optionally in a process pool) and
-    return rows sorted by the swept parameter.  Each task carries one grid
-    value, not the whole grid."""
-    args = (repeat(sweep.kind), repeat(sweep.base), sweep.grid)
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(evaluate_sweep_point, *args))
+def run_sweep(sweep: SweepSpec) -> list[dict]:
+    """Evaluate every grid point and return rows sorted by the swept
+    parameter.  The trajectories of a ``spectral-area`` or
+    ``spectral-center`` sweep run as one batch; a ``levels`` sweep, whose
+    points differ in size, runs one point at a time."""
+    if sweep.kind == "levels":
+        rows = [row for value in sweep.grid
+                for row in evaluate_sweep_points(sweep.kind, sweep.base, [value])]
     else:
-        rows = list(map(evaluate_sweep_point, *args))
+        rows = evaluate_sweep_points(sweep.kind, sweep.base, sweep.grid)
     rows.sort(key=lambda r: r["parameter"])
     return rows
 

@@ -55,8 +55,8 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 class SystemSpec:
     """Eigenenergies and the real-symmetric environment-coupling matrix.
 
-    Instances are immutable (arrays are read-only) and safe to share
-    across parallel workers.
+    Instances are immutable (arrays are read-only), so one instance
+    serves every row of a batched integration.
 
     Parameters
     ----------

@@ -33,6 +33,7 @@ non-decreasing ladder is flagged as non-convergent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from warnings import catch_warnings, simplefilter, warn_explicit
 
 import numpy as np
 
@@ -158,19 +159,20 @@ def _channel_integral(
     offset: float,
     shift: float,
     cfg: RpaConfig,
-) -> float:
+) -> tuple[float, set[str]]:
     """integral of Re[ c g I / ((y + i shift)(y + i shift - 4 g I)) ] d omega
-    over the spectral support, with y = slope*omega + offset."""
+    over the spectral support, with y = slope*omega + offset, and the
+    first lines of the IntegrationWarnings the quadrature raised."""
     # imported here, not at module level, so that ``import mlsbath`` loads
     # neither scipy.integrate nor scipy.optimize
-    from scipy.integrate import quad
+    from scipy.integrate import IntegrationWarning, quad
     from scipy.optimize import brentq
 
     lo, hi = model.support()
     lo = max(lo, -cfg.omega_max)
     hi = min(hi, cfg.omega_max)
     if g_s == 0.0 or hi <= lo:
-        return 0.0
+        return 0.0, set()
 
     def integrand(w: float) -> float:
         intensity = evaluate(model, w)
@@ -193,10 +195,18 @@ def _channel_integral(
         elif va * vb < 0:
             points.append(float(brentq(f, grid[k], grid[k + 1])))
     points = sorted({p for p in points if lo < p < hi})
-    value, _ = quad(
-        integrand, lo, hi, points=points or None, limit=QUAD_LIMIT, epsabs=1e-11, epsrel=1e-9
-    )
-    return value
+    with catch_warnings(record=True) as caught:
+        simplefilter("always", IntegrationWarning)
+        value, _ = quad(
+            integrand, lo, hi, points=points or None, limit=QUAD_LIMIT, epsabs=1e-11, epsrel=1e-9
+        )
+    notes = set()
+    for w in caught:
+        if issubclass(w.category, IntegrationWarning):
+            notes.add(str(w.message).strip().splitlines()[0])
+        else:
+            warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return value, notes
 
 
 def _richardson(values: list[float]) -> float:
@@ -222,8 +232,10 @@ def delta_n_total(
     Both integrals are evaluated on a ladder of imaginary pole shifts
     and Richardson-extrapolated to the principal-value limit.  Warnings
     flag a non-Cauchy ladder (non-convergent extrapolation, typical when
-    a pole sits at a support edge) and a negative extrapolated
-    (Delta N)^2 (regularization failure; Delta N is then NaN).
+    a pole sits at a support edge), scipy's IntegrationWarnings from any
+    channel integral (one entry per quantity, their distinct first lines
+    sorted) and a negative extrapolated (Delta N)^2 (regularization
+    failure; Delta N is then NaN).
     """
     weights = channel_weights(spec, state)
     e1 = spec.energies[0]
@@ -231,6 +243,8 @@ def delta_n_total(
 
     n_ladder = []
     dn2_ladder = []
+    n_notes: set[str] = set()
+    dn2_notes: set[str] = set()
     for shift in shifts:
         n_val = 0.0
         dn2_val = 0.0
@@ -240,17 +254,23 @@ def delta_n_total(
                 continue
             # detuning denominator d_s = omega + offset for the number density,
             # pair denominator p_s = 2*omega + offset for the fluctuations
-            n_val += _channel_integral(model, 2.0, weights[s], 1.0, offset, shift, cfg)
-            dn2_val += _channel_integral(model, 4.0, weights[s], 2.0, offset, shift, cfg)
+            value, notes = _channel_integral(model, 2.0, weights[s], 1.0, offset, shift, cfg)
+            n_val += value
+            n_notes |= notes
+            value, notes = _channel_integral(model, 4.0, weights[s], 2.0, offset, shift, cfg)
+            dn2_val += value
+            dn2_notes |= notes
         n_ladder.append(n_val)
         dn2_ladder.append(dn2_val)
 
     warnings: list[str] = []
-    for name, ladder in (("N", n_ladder), ("(Delta N)^2", dn2_ladder)):
+    for name, ladder, notes in (("N", n_ladder, n_notes), ("(Delta N)^2", dn2_ladder, dn2_notes)):
         diffs = [abs(ladder[k + 1] - ladder[k]) for k in range(len(ladder) - 1)]
         tol = 1e-12 * max(1.0, abs(ladder[-1]))
         if any(d2 > d1 + tol for d1, d2 in zip(diffs, diffs[1:])):
             warnings.append(f"{name}: pole-shift ladder is not Cauchy, extrapolation unreliable")
+        if notes:
+            warnings.append(f"{name}: quadrature warning: {' '.join(sorted(notes))}")
 
     n_total = _richardson(n_ladder)
     dn2 = _richardson(dn2_ladder)

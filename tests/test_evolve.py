@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from mlsbath import evolve
-from mlsbath.evolve import EvolutionConfig, IntegrationError, integrate
+from mlsbath.evolve import EvolutionConfig, IntegrationError, integrate, integrate_batch
 from mlsbath.model import (
     SystemSpec,
     build_multilevel,
@@ -316,6 +318,70 @@ class TestHistoryPaths:
         rho0 = initial_density(default_initial_state(), 3)
         with pytest.raises(IntegrationError, match="step"):
             integrate(spec, Lorentzian(2e6, 1.5, 1.0), rho0, EvolutionConfig(2.5, 0.01))
+
+
+class TestBatch:
+    def test_rows_match_one_row_integrate(self):
+        # mode rows with two mode counts, and full-history rows, in one batch
+        spec = build_three_level()
+        rho0 = initial_density(default_initial_state(), 3)
+        cfg = EvolutionConfig(1.0, 0.002)
+        models = [
+            Rectangular(5.0, 1.5, 1.0),
+            PowerGaussian(5.0, 0.0, 2.0),
+            Lorentzian(5.0, 1.5, 1.0),
+            Rectangular(5.0, 4.0, 10.0),
+            PowerGaussian(3.0, -1.0, 1.5),
+            Rectangular(9.0, 0.0, 1.0),
+        ]
+        batch = integrate_batch(spec, models, rho0, cfg)
+        assert [traj.history_modes > 0 for traj in batch] == [True, False, True, True, False, True]
+        assert len({traj.history_modes for traj in batch}) == 4
+        for model, traj in zip(models, batch):
+            alone = integrate(spec, model, rho0, cfg)
+            assert traj.history_modes == alone.history_modes
+            assert traj.mode_error == alone.mode_error
+            assert np.array_equal(traj.times, alone.times)
+            if traj.history_modes:
+                assert np.array_equal(traj.states, alone.states)
+                assert traj.max_trace_drift == alone.max_trace_drift
+                assert traj.max_hermiticity_defect == alone.max_hermiticity_defect
+            else:
+                # the full history: a stacked product may round differently
+                scale = np.max(np.abs(alone.states))
+                assert np.max(np.abs(traj.states - alone.states)) <= 1e-13 * scale
+
+    def test_failed_row_keeps_its_neighbours(self):
+        spec = build_three_level()
+        rho0 = initial_density(default_initial_state(), 3)
+        cfg = EvolutionConfig(0.5, 0.002)
+        models = [Rectangular(area, 0.0, 100.0) for area in (2.0, 1e150, 5.0)]
+        first, failed, last = integrate_batch(spec, models, rho0, cfg)
+        assert isinstance(failed, IntegrationError)
+        with pytest.raises(IntegrationError) as info:
+            integrate(spec, models[1], rho0, cfg)
+        assert str(failed) == str(info.value)
+        assert "exceeds 0.0001 at step 1 (t = 0.002)" in str(failed)
+        for model, traj in ((models[0], first), (models[2], last)):
+            alone = integrate(spec, model, rho0, cfg)
+            assert np.array_equal(traj.states, alone.states)
+            assert traj.max_trace_drift == alone.max_trace_drift
+
+    def test_non_finite_row_named(self):
+        # an overflowing row reports its first non-finite step, not a warning
+        spec = build_three_level()
+        rho0 = initial_density(default_initial_state(), 3)
+        cfg = EvolutionConfig(0.5, 0.002)
+        good, failed = integrate_batch(
+            spec, [Rectangular(5.0, 0.0, 100.0), Rectangular(1e300, 0.0, 100.0)], rho0, cfg
+        )
+        assert good.history_modes > 0
+        assert re.fullmatch(r"non-finite state at step \d+ \(t = \S+\)", str(failed))
+
+    def test_empty_batch(self):
+        spec = build_three_level()
+        rho0 = initial_density(default_initial_state(), 3)
+        assert integrate_batch(spec, [], rho0) == []
 
 
 class TestEvolutionConfig:

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -14,10 +15,14 @@ from mlsbath.harness import (
     load_config,
     run_scenario,
     run_sweep,
+    run_trajectory,
     write_sweep_csv,
     write_trajectory_csv,
     _fmt,
+    _point_scenario,
+    _rate_columns,
 )
+from mlsbath.rates import extract_rates
 from mlsbath.spectra import correlator_table, evaluate
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
@@ -40,6 +45,8 @@ dt = 0.005
 t_lo = 0.1
 t_hi = 0.5
 """
+
+RECTANGLE = "kind = rectangular\narea = 5.0\ncenter = 4.0\nwidth = 8.0"
 
 POWER_GAUSSIAN_CONFIG = """
 [system]
@@ -81,6 +88,20 @@ def write(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def per_point_row(kind, base, value):
+    """The sweep row of one trajectory point from its own ``integrate``
+    call: the reference for the batched sweep rows."""
+    row = {"parameter": value, "config_hash": "", "status": "ok"}
+    try:
+        point = _point_scenario(kind, base, value)
+        row["config_hash"] = point.config_hash()
+        traj = run_trajectory(point)
+        row.update(_rate_columns(extract_rates(traj, point.window), traj))
+    except Exception as exc:
+        row["status"] = f"error: {exc}"
+    return row
 
 
 class TestConfigParsing:
@@ -216,11 +237,32 @@ class TestConfigParsing:
              r"\[table\] points = '0' is not a valid positive integer$"),
             ("t_hi = 0.5", "t_hi = 0.5\n[table]\npoints = -3",
              r"\[table\] points = '-3' is not a valid positive integer$"),
+            ("t_hi = 0.5", "t_hi = 0.5\n[table]\ndt = -0.1",
+             r"\[table\] dt = -0\.1 must be positive$"),
+            ("t_hi = 0.5", "t_hi = 0.5\n[table]\ndt = 0",
+             r"\[table\] dt = 0\.0 must be positive$"),
+            # t_max from [evolution] (0.5) is below the table's dt
+            ("t_hi = 0.5", "t_hi = 0.5\n[table]\ndt = 0.6",
+             r"\[table\] t_max = 0\.5 \(default\) must be at least dt = 0\.6$"),
+            # dt from [evolution] (0.005) is above the table's t_max
+            ("t_hi = 0.5", "t_hi = 0.5\n[table]\nt_max = 0.0001",
+             r"\[table\] t_max = 0\.0001 must be at least dt = 0\.005 \(default\)$"),
+            ("t_hi = 0.5", "t_hi = 0.5\n[table]\nomega_min = 5\nomega_max = 1",
+             r"\[table\] omega_min = 5\.0 must be below omega_max = 1\.0$"),
+            ("t_hi = 0.5", "t_hi = 0.5\n[table]\nomega_min = 3\nomega_max = 3",
+             r"\[table\] omega_min = 3\.0 must be below omega_max = 3\.0$"),
+            # the rectangle's window() is [-6, 14]
+            ("t_hi = 0.5", "t_hi = 0.5\n[table]\nomega_min = 20",
+             r"\[table\] omega_min = 20\.0 must be below omega_max = 14\.0 \(default\)$"),
+            ("t_hi = 0.5", "t_hi = 0.5\n[table]\nomega_max = -7",
+             r"\[table\] omega_min = -6\.0 \(default\) must be below omega_max = -7\.0$"),
         ],
         ids=["grid", "grid_log", "energies", "state-without-b", "inf-width", "nan-center",
              "inf-area", "inf-t_max", "nan-dt", "nan-state-a", "inf-state-b", "nan-delta",
              "nan-energies", "inf-coupling", "inf-grid", "inf-table-t_max", "zero-points",
-             "negative-points"],
+             "negative-points", "negative-table-dt", "zero-table-dt", "table-dt-above-t_max",
+             "table-t_max-below-dt", "descending-omega", "equal-omega",
+             "omega_min-above-window", "omega_max-below-window"],
     )
     def test_malformed_value_names_file_section_and_key(self, tmp_path, old, new, message):
         path = write(tmp_path, BASE_CONFIG.replace(old, new))
@@ -369,12 +411,47 @@ class TestSweeps:
         assert [r["parameter"] for r in rows] == [2.0, 5.0]
         assert all(r["status"] == "ok" for r in rows)
 
-    def test_serial_parallel_identical(self, tmp_path):
-        for kind, grid in [("spectral-area", "2 5 8"), ("correlator", "0 0.5 1.0 1.5")]:
-            sweep = self.make_sweep(tmp_path, kind=kind, grid=grid)
-            serial = run_sweep(sweep, threads=1)
-            parallel = run_sweep(sweep, threads=2)
-            assert serial == parallel
+    @pytest.mark.parametrize(
+        "spectrum, kind, grid",
+        [
+            (RECTANGLE, "spectral-area", "0.5 2 5 8"),
+            (RECTANGLE, "spectral-center", "0 1.5 3 4.5"),
+            ("kind = lorentzian\narea = 5.0\ncenter = 1.5\nwidth = 2.0", "spectral-area", "1 4 9"),
+            ("kind = power-gaussian\narea = 5.0\nohmicity = 0\ncutoff = 2.0",
+             "spectral-area", "1 4 9"),
+        ],
+        ids=["rectangle-area", "rectangle-center", "lorentzian-area", "power-gaussian-area"],
+    )
+    def test_batched_rows_match_per_point(self, tmp_path, spectrum, kind, grid):
+        text = BASE_CONFIG.replace(RECTANGLE, spectrum) + f"\n[sweep]\nkind = {kind}\ngrid = {grid}\n"
+        _, sweep, _ = load_config(write(tmp_path, text))
+        rows = run_sweep(sweep)
+        expected = [per_point_row(kind, sweep.base, value) for value in sweep.grid]
+        assert all(row["status"] == "ok" for row in rows)
+        if "power-gaussian" in spectrum:
+            # the full history: a stacked product may round differently
+            assert [row.keys() for row in rows] == [row.keys() for row in expected]
+            for row, ref in zip(rows, expected):
+                for key, value in row.items():
+                    if isinstance(value, float):
+                        assert value == pytest.approx(ref[key], rel=1e-13, abs=1e-300), key
+                    else:
+                        assert value == ref[key]
+        else:
+            assert rows == expected
+
+    def test_failed_point_keeps_neighbours(self, tmp_path):
+        text = BASE_CONFIG.replace("width = 8.0", "width = 100.0").replace(
+            "dt = 0.005", "dt = 0.002"
+        )
+        _, sweep, _ = load_config(
+            write(tmp_path, text + "\n[sweep]\nkind = spectral-area\ngrid = 2 5 1e150\n")
+        )
+        rows = run_sweep(sweep)
+        assert rows == [per_point_row(sweep.kind, sweep.base, value) for value in sweep.grid]
+        assert [row["status"] for row in rows[:2]] == ["ok", "ok"]
+        assert re.fullmatch(r"error: trace drift \S+ exceeds 0.0001 at step 1 \(t = 0.002\)",
+                            rows[2]["status"])
 
     def test_sweep_csv_and_sidecar(self, tmp_path):
         sweep = self.make_sweep(tmp_path, grid="2 5")
@@ -461,9 +538,19 @@ class TestCli:
     def test_sweep_command(self, tmp_path):
         cfg = write(tmp_path, BASE_CONFIG + "\n[sweep]\nkind = spectral-area\ngrid = 2 5\n")
         out = tmp_path / "s"
-        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--threads", "2"]) == 0
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "sweep.csv").exists()
         assert (out / "sweep.csv.meta.ini").exists()
+
+    def test_no_threads_flag(self, tmp_path, capsys):
+        # a sweep's points run as one batch in one process
+        cfg = write(tmp_path, BASE_CONFIG + "\n[sweep]\nkind = spectral-area\ngrid = 2 5\n")
+        out = tmp_path / "s"
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--config", str(cfg), "--out", str(out), "--threads", "2"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_without_section_fails(self, tmp_path):
         cfg = write(tmp_path, BASE_CONFIG)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -147,12 +148,12 @@ class TestDeltaNTotal:
 
         n_quad = sum(
             _channel_integral(model, 2.0, weights[s], 1.0, spec.energies[0] - spec.energies[s],
-                              shift, cfg)
+                              shift, cfg)[0]
             for s in range(3)
         )
         dn2_quad = sum(
             _channel_integral(model, 4.0, weights[s], 2.0, spec.energies[0] - spec.energies[s],
-                              shift, cfg)
+                              shift, cfg)[0]
             for s in range(3)
         )
         assert n_quad == pytest.approx(n_ref, rel=1e-5)
@@ -168,6 +169,27 @@ class TestDeltaNTotal:
         spec = build_three_level()
         res = delta_n_total(spec, Rectangular(5.0, 2.0, 1.0), STATE, QUICK)
         assert any("Cauchy" in w for w in res.warnings)
+
+    @pytest.mark.parametrize(
+        "spec, model, quantities",
+        [
+            # the systems and spectra of demos/configs/area_sweep.ini and
+            # levels_sweep.ini, whose channel integrals scipy's quad reports
+            # as probably divergent
+            (build_three_level(), Rectangular(5.0, 0.0, 100.0), ["(Delta N)^2"]),
+            (build_multilevel(3, delta=8.0), Lorentzian(5.0, 0.0, 8.0), ["N", "(Delta N)^2"]),
+        ],
+        ids=["rectangle", "lorentzian"],
+    )
+    def test_quadrature_warning_recorded(self, spec, model, quantities):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = delta_n_total(spec, model, STATE, RpaConfig())
+        notes = [w for w in res.warnings if "quadrature warning" in w]
+        assert notes == [
+            f"{name}: quadrature warning: The integral is probably divergent, or slowly convergent."
+            for name in quantities
+        ]
 
     def test_width_flatness_at_fixed_area(self):
         spec = build_three_level()
