@@ -26,6 +26,7 @@ import numpy as np
 from .harness import (
     ConfigError,
     load_config,
+    rpa_record,
     run_scenario,
     run_sweep,
     run_trajectory,
@@ -76,28 +77,19 @@ def main(argv: list[str] | None = None) -> int:
             rows = run_sweep(sweep)
             write_sweep_csv(out / "sweep.csv", sweep, rows)
         elif args.command == "correlator-table":
-            t_max = table.get("t_max", scenario.evolution.t_max)
-            dt = table.get("dt", scenario.evolution.dt)
-            values = correlator_table(scenario.model, t_max, dt)
-            taus = np.arange(len(values)) * dt
+            values = correlator_table(scenario.model, table["t_max"], table["dt"])
+            taus = np.arange(len(values)) * table["dt"]
             write_columns_csv(out / "correlator.csv", ["tau", "re_f", "im_f"],
                               [taus, values.real, values.imag])
         elif args.command == "spectrum-table":
-            lo, hi = scenario.model.window()
-            omegas = np.linspace(table.get("omega_min", lo), table.get("omega_max", hi),
-                                 table.get("points", 501))
+            omegas = np.linspace(table["omega_min"], table["omega_max"], table["points"])
             write_columns_csv(out / "spectrum.csv", ["omega", "intensity"],
                               [omegas, evaluate(scenario.model, omegas)])
         elif args.command == "rpa":
             spec = scenario.system.build()
             result = delta_n_total(spec, scenario.model, scenario.state, scenario.rpa)
-            write_json(out / "rpa.json", {
-                "n_total": result.n_total,
-                "delta_n": result.delta_n,
-                "ratio": result.ratio,
-                "warnings": list(result.warnings),
-                "config_hash": scenario.config_hash(),
-            })
+            write_json(out / "rpa.json",
+                       {**rpa_record(result), "config_hash": scenario.config_hash()})
     except (ConfigError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

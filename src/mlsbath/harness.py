@@ -28,7 +28,8 @@ Unknown keys and non-finite numbers are rejected.  All sections except
 ``[rpa]``         pole_shift, ladder, omega_max, scan_points
 ``[table]``       t_max >= dt > 0 (correlator table); omega_min < omega_max,
                   points >= 1 (spectrum table); an absent key takes its
-                  value from ``[evolution]`` or the family's window()
+                  value from ``[evolution]``, the family's window(), or
+                  501 points
 ``[sweep]``
     kind = spectral-center | spectral-area | levels | correlator |
            rpa-width | rpa-area
@@ -39,13 +40,16 @@ Outputs
 -------
 CSV files carry a header row, comma separators, LF line endings and
 full double precision (17 significant digits), so repeated runs are
-byte-identical.  Sweeps write a ``*.meta.ini`` sidecar echoing the
-resolved base configuration and its hash; every row carries the
-per-point config hash.  Failed sweep points are recorded in-row in the
-``status`` column and do not stop the sweep.  The trajectories of a
-``spectral-area`` or ``spectral-center`` sweep step together as one
-batch (:func:`~mlsbath.evolve.integrate_batch`); their rows are the bytes
-one run per point would give.
+byte-identical.  ``rates.json`` and ``rpa.json`` hold a result record
+(:func:`rates_record`, :func:`rpa_record`) plus the config hash.  Sweeps
+write a ``*.meta.ini`` sidecar echoing the resolved base configuration
+and its hash; every row carries the per-point config hash and the same
+record, its r² split into three columns and its warnings joined by
+"; ".  Failed sweep points are recorded in-row in the ``status`` column
+and do not stop the sweep.  Trajectory points that share a system step
+together as one batch (:func:`~mlsbath.evolve.integrate_batch`): all of
+a ``spectral-area`` or ``spectral-center`` sweep, one M of a ``levels``
+sweep.  Their rows are the bytes one run per point would give.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass, replace
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -71,7 +76,7 @@ from .model import (
     is_finite,
 )
 from .rates import FitWindow, RateSet, extract_rates
-from .rpa import RpaConfig, delta_n_total
+from .rpa import FluctuationResult, RpaConfig, delta_n_total
 from .spectra import FAMILIES, SpectralModel, correlator
 
 __all__ = [
@@ -79,6 +84,8 @@ __all__ = [
     "ScenarioConfig",
     "SweepSpec",
     "load_config",
+    "rates_record",
+    "rpa_record",
     "run_scenario",
     "run_sweep",
     "write_columns_csv",
@@ -117,6 +124,14 @@ _KNOWN_KEYS = {
 
 class ConfigError(ValueError):
     """Configuration file violates the schema or a model invariant."""
+
+
+class SweepError(ConfigError):
+    """A sweep that cannot run; ``key`` names the field at fault, kind or grid."""
+
+    def __init__(self, key: str, reason: str):
+        super().__init__(reason)
+        self.key = key
 
 
 @dataclass(frozen=True)
@@ -175,22 +190,22 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.kind not in SWEEP_KINDS:
-            raise ConfigError(f"unknown sweep kind {self.kind!r}, expected one of {SWEEP_KINDS}")
+            raise SweepError("kind",
+                             f"unknown sweep kind {self.kind!r}, expected one of {SWEEP_KINDS}")
         if len(self.grid) == 0:
-            raise ConfigError("sweep grid must be non-empty")
+            raise SweepError("grid", "sweep grid must be non-empty")
         diffs = np.diff(self.grid)
         if len(self.grid) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
-            raise ConfigError("sweep grid must be strictly monotone")
+            raise SweepError("grid", "sweep grid must be strictly monotone")
         if self.kind == "levels":
             if self.base.system.kind != "multilevel":
-                raise ConfigError("levels sweep requires a multilevel base system")
+                raise SweepError("kind", "levels sweep requires a multilevel base system")
             for value in self.grid:
                 if not float(value).is_integer():
-                    raise ConfigError(f"levels sweep grid holds a non-integer {_fmt(value)}")
+                    raise SweepError("grid", f"levels sweep grid holds a non-integer {_fmt(value)}")
         if self.kind == "spectral-center" and "center" not in self.base.model.ini_keys:
-            raise ConfigError(
-                f"spectral-center sweep needs a spectrum with a center, not {self.base.model.kind}"
-            )
+            raise SweepError("kind", "spectral-center sweep needs a spectrum with a center, "
+                                     f"not {self.base.model.kind}")
 
 
 def _fmt(x: float) -> str:
@@ -335,8 +350,8 @@ def _parse_spectrum(parser, path) -> SpectralModel:
 
 def load_config(path: str | Path) -> tuple[ScenarioConfig, SweepSpec | None, dict]:
     """Parse a configuration file into a scenario, optional sweep and
-    table options.  Schema violations raise ConfigError naming the file,
-    section and key."""
+    the resolved ``[table]`` options.  Schema violations raise ConfigError
+    naming the file, section and key."""
     path = Path(path)
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
@@ -362,12 +377,11 @@ def load_config(path: str | Path) -> tuple[ScenarioConfig, SweepSpec | None, dic
     else:
         state = default_initial_state()
 
+    # an absent optional section reads as empty: each key takes its default
+    parser.read_dict({name: {} for name in (*_SECTIONS, "table")})
     sections = {}
     for name, (field, cls, keys) in _SECTIONS.items():
         default = cls()
-        if name not in parser:
-            sections[field] = default
-            continue
         values = {
             key: _typed(parser[name], key, type(getattr(default, key)),
                         default=getattr(default, key), path=str(path))
@@ -380,48 +394,49 @@ def load_config(path: str | Path) -> tuple[ScenarioConfig, SweepSpec | None, dic
 
     scenario = ScenarioConfig(system=system, state=state, model=model, **sections)
 
-    sweep = None
-    if "sweep" in parser:
-        sec = parser["sweep"]
-        kind = _typed(sec, "kind", str, path=str(path))
-        if "grid_log" in sec:
-            grid = _typed(sec, "grid_log", _log_grid, path=str(path),
-                          what="'start stop count' with start, stop > 0 and an integer count")
-        elif "grid" in sec:
-            grid = _typed(sec, "grid", lambda raw: _numbers(raw.replace(",", " ")),
-                          path=str(path), what="list of numbers")
-        else:
-            raise ConfigError(f"{path}: [sweep] needs grid or grid_log")
-        sweep = SweepSpec(kind=kind, grid=grid, base=scenario)
-
-    table = {}
-    if "table" in parser:
-        sec = parser["table"]
-        for key in ("t_max", "dt", "omega_min", "omega_max", "points"):
-            if key in sec:
-                cast = _count if key == "points" else float
-                table[key] = _typed(sec, key, cast, path=str(path))
-        _check_table(table, scenario, f"{path}: [table]")
-    return scenario, sweep, table
+    sweep = _parse_sweep(parser["sweep"], scenario, str(path)) if "sweep" in parser else None
+    return scenario, sweep, _parse_table(parser["table"], scenario, str(path))
 
 
-def _check_table(table: dict, scenario: ScenarioConfig, where: str) -> None:
-    """Range checks of ``[table]``.  An end the file does not give is
-    checked, and named, with the value the subcommand uses instead: from
-    ``[evolution]``, or the spectral family's ``window()``."""
-    defaults = {"dt": scenario.evolution.dt, "t_max": scenario.evolution.t_max}
-    defaults["omega_min"], defaults["omega_max"] = scenario.model.window()
-    value = {key: table.get(key, default) for key, default in defaults.items()}
+def _parse_sweep(sec, base: ScenarioConfig, path: str) -> SweepSpec:
+    kind = _typed(sec, "kind", str, path=path)
+    if "grid_log" in sec:
+        grid = _typed(sec, "grid_log", _log_grid, path=path,
+                      what="'start stop count' with start, stop > 0 and an integer count")
+    elif "grid" in sec:
+        grid = _typed(sec, "grid", lambda raw: _numbers(raw.replace(",", " ")),
+                      path=path, what="list of numbers")
+    else:
+        raise ConfigError(f"{path}: [sweep] needs grid or grid_log")
+    try:
+        return SweepSpec(kind=kind, grid=grid, base=base)
+    except SweepError as exc:
+        key = "grid_log" if exc.key == "grid" and "grid_log" in sec else exc.key
+        raise ConfigError(f"{path}: [sweep] {key} = {sec[key]!r}: {exc}") from exc
+
+
+def _parse_table(sec, scenario: ScenarioConfig, path: str) -> dict:
+    """``[table]`` with each absent key resolved, and range-checked: from
+    ``[evolution]``, the family's ``window()``, or 501 points."""
+    lo, hi = scenario.model.window()
+    table = {
+        "t_max": _typed(sec, "t_max", float, scenario.evolution.t_max, path=path),
+        "dt": _typed(sec, "dt", float, scenario.evolution.dt, path=path),
+        "omega_min": _typed(sec, "omega_min", float, lo, path=path),
+        "omega_max": _typed(sec, "omega_max", float, hi, path=path),
+        "points": _typed(sec, "points", _count, 501, path=path),
+    }
 
     def text(key: str) -> str:
-        return f"{key} = {float(value[key])!r}" + ("" if key in table else " (default)")
+        return f"{key} = {float(table[key])!r}" + ("" if key in sec else " (default)")
 
-    if value["dt"] <= 0:
-        raise ConfigError(f"{where} {text('dt')} must be positive")
-    if value["t_max"] < value["dt"]:
-        raise ConfigError(f"{where} {text('t_max')} must be at least {text('dt')}")
-    if not value["omega_min"] < value["omega_max"]:
-        raise ConfigError(f"{where} {text('omega_min')} must be below {text('omega_max')}")
+    if table["dt"] <= 0:
+        raise ConfigError(f"{path}: [table] {text('dt')} must be positive")
+    if table["t_max"] < table["dt"]:
+        raise ConfigError(f"{path}: [table] {text('t_max')} must be at least {text('dt')}")
+    if not table["omega_min"] < table["omega_max"]:
+        raise ConfigError(f"{path}: [table] {text('omega_min')} must be below {text('omega_max')}")
+    return table
 
 
 # --- scenario run ------------------------------------------------------------
@@ -478,121 +493,114 @@ def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
     write_columns_csv(path, header, columns)
 
 
-def write_rates_json(
-    path: str | Path, rates: RateSet, traj: Trajectory, scenario: ScenarioConfig
-) -> None:
-    payload = {
+def rates_record(rates: RateSet, traj: Trajectory) -> dict:
+    """The result fields of ``rates.json`` and of a trajectory sweep row.
+    Their order is the sweep row's column order (``rates.json`` sorts)."""
+    return {
         "relaxation_rate": rates.relaxation_rate,
         "dephasing_rate": rates.dephasing_rate,
         "leakage_rate": rates.leakage_rate,
         "r_squared": list(rates.r_squared),
-        "warnings": list(rates.warnings),
         "max_trace_drift": traj.max_trace_drift,
         "max_hermiticity_defect": traj.max_hermiticity_defect,
         "history_modes": traj.history_modes,
         "mode_error": traj.mode_error,
-        "config_hash": scenario.config_hash(),
+        "warnings": list(rates.warnings),
     }
-    write_json(path, payload)
+
+
+def rpa_record(result: FluctuationResult) -> dict:
+    """The result fields of ``rpa.json`` and of an ``rpa-*`` sweep row."""
+    return {
+        "n_total": result.n_total,
+        "delta_n": result.delta_n,
+        "ratio": result.ratio,
+        "warnings": list(result.warnings),
+    }
+
+
+def write_rates_json(
+    path: str | Path, rates: RateSet, traj: Trajectory, scenario: ScenarioConfig
+) -> None:
+    write_json(path, {**rates_record(rates, traj), "config_hash": scenario.config_hash()})
 
 
 # --- sweeps ------------------------------------------------------------------
 
 
 def _point_scenario(kind: str, base: ScenarioConfig, value: float) -> ScenarioConfig:
-    if kind in ("spectral-center", "spectral-area", "rpa-area", "rpa-width"):
-        ini_keys = base.model.ini_keys
-        # rpa-width sweeps the family's last key: its width, or cutoff
-        key = {"spectral-center": "center", "rpa-width": list(ini_keys)[-1]}.get(kind, "area")
-        return replace(base, model=replace(base.model, **{ini_keys[key]: value}))
+    if kind == "correlator":
+        return base
     if kind == "levels":
         values = {**base.system.values, "n_levels": int(value)}
         return replace(base, system=replace(base.system, values=values))
-    if kind == "correlator":
-        return base
-    raise ConfigError(f"unknown sweep kind {kind!r}")
+    ini_keys = base.model.ini_keys
+    # rpa-width sweeps the family's last key: its width, or cutoff
+    key = {"spectral-center": "center", "rpa-width": list(ini_keys)[-1]}.get(kind, "area")
+    return replace(base, model=replace(base.model, **{ini_keys[key]: value}))
 
 
-def _rate_columns(rates: RateSet, traj: Trajectory) -> dict:
-    return {
-        "relaxation_rate": rates.relaxation_rate,
-        "dephasing_rate": rates.dephasing_rate,
-        "leakage_rate": rates.leakage_rate,
-        "r2_relaxation": rates.r_squared[0],
-        "r2_dephasing": rates.r_squared[1],
-        "r2_leakage": rates.r_squared[2],
-        "max_trace_drift": traj.max_trace_drift,
-        "max_hermiticity_defect": traj.max_hermiticity_defect,
-        "warnings": "; ".join(rates.warnings),
-    }
-
-
-def evaluate_sweep_points(kind: str, base: ScenarioConfig, values) -> list[dict]:
-    """The rows of a ``kind`` sweep over ``base`` at grid ``values``, in
-    grid order.  Their trajectories run as one batch, so the points must
-    share the system: true of every kind but ``levels``."""
-    rows = []
-    batch = []  # (row, scenario) of each trajectory point
-    for value in values:
-        row = {"parameter": value, "config_hash": "", "status": "ok"}
-        rows.append(row)
-        try:
-            point = _point_scenario(kind, base, value)
-            row["config_hash"] = point.config_hash()
-            if kind == "correlator":
-                f_val = correlator(point.model, float(value))
-                row.update({"re_f": f_val.real, "im_f": f_val.imag})
-            elif kind in ("rpa-width", "rpa-area"):
-                spec = point.system.build()
-                result = delta_n_total(spec, point.model, point.state, point.rpa)
-                row.update(
-                    {
-                        "n_total": result.n_total,
-                        "delta_n": result.delta_n,
-                        "ratio": result.ratio,
-                        "warnings": "; ".join(result.warnings),
-                    }
-                )
-            else:
-                batch.append((row, point))
-        except Exception as exc:  # failures stay in-row, sweep continues
-            row["status"] = f"error: {exc}"
-    if batch:
-        _add_rate_columns(batch)
-    return rows
-
-
-def _add_rate_columns(batch: list[tuple[dict, ScenarioConfig]]) -> None:
-    """Integrate the scenarios of ``batch``, which differ only in their
-    spectral model, in one call, and fill in each row's rates."""
-    try:
-        first = batch[0][1]
-        spec = first.system.build()
-        rho0 = initial_density(first.state, spec.n_levels)
-        trajectories = integrate_batch(spec, [point.model for _, point in batch], rho0,
-                                       first.evolution)
-    except Exception as exc:
-        trajectories = [exc] * len(batch)
-    for (row, point), traj in zip(batch, trajectories):
-        try:
-            if isinstance(traj, Exception):
-                raise traj
-            rates = extract_rates(traj, point.window)
-            row.update(_rate_columns(rates, traj))
-        except Exception as exc:  # failures stay in-row, sweep continues
-            row["status"] = f"error: {exc}"
+def _row_columns(record: dict) -> dict:
+    """A result record as sweep-row columns: r² split into one column per
+    observable, warnings joined by "; "."""
+    row = {}
+    for key, value in record.items():
+        if key == "r_squared":
+            row.update(zip(("r2_relaxation", "r2_dephasing", "r2_leakage"), value))
+        elif key == "warnings":
+            row[key] = "; ".join(value)
+        else:
+            row[key] = value
+    return row
 
 
 def run_sweep(sweep: SweepSpec) -> list[dict]:
     """Evaluate every grid point and return rows sorted by the swept
-    parameter.  The trajectories of a ``spectral-area`` or
-    ``spectral-center`` sweep run as one batch; a ``levels`` sweep, whose
-    points differ in size, runs one point at a time."""
-    if sweep.kind == "levels":
-        rows = [row for value in sweep.grid
-                for row in evaluate_sweep_points(sweep.kind, sweep.base, [value])]
-    else:
-        rows = evaluate_sweep_points(sweep.kind, sweep.base, sweep.grid)
+    parameter.  A row holds the parameter, the point's config hash, its
+    status and the columns of its result record (:func:`rates_record` or
+    :func:`rpa_record`).  Trajectory points run in batches of consecutive
+    points that share a system: all of a ``spectral-area`` or
+    ``spectral-center`` sweep in one batch, a ``levels`` sweep one batch
+    per M."""
+    rows = []
+    trajectory_points = []  # (row, scenario) of each trajectory point
+    for value in sweep.grid:
+        row = {"parameter": value, "config_hash": "", "status": "ok"}
+        rows.append(row)
+        try:
+            point = _point_scenario(sweep.kind, sweep.base, value)
+            row["config_hash"] = point.config_hash()
+            if sweep.kind == "correlator":
+                f_val = correlator(point.model, float(value))
+                row.update({"re_f": f_val.real, "im_f": f_val.imag})
+            elif sweep.kind in ("rpa-width", "rpa-area"):
+                spec = point.system.build()
+                result = delta_n_total(spec, point.model, point.state, point.rpa)
+                row.update(_row_columns(rpa_record(result)))
+            else:
+                trajectory_points.append((row, point))
+        except Exception as exc:  # failures stay in-row, sweep continues
+            row["status"] = f"error: {exc}"
+    # SystemChoice holds a dict, so group on equality rather than a hash; the
+    # points of a group differ only in their spectral model
+    for _, group in groupby(trajectory_points, key=lambda row_point: row_point[1].system):
+        batch = list(group)
+        first = batch[0][1]
+        try:
+            spec = first.system.build()
+            rho0 = initial_density(first.state, spec.n_levels)
+            trajectories = integrate_batch(spec, [point.model for _, point in batch], rho0,
+                                           first.evolution)
+        except Exception as exc:
+            trajectories = [exc] * len(batch)
+        for (row, point), traj in zip(batch, trajectories):
+            try:
+                if isinstance(traj, Exception):
+                    raise traj
+                rates = extract_rates(traj, point.window)
+                row.update(_row_columns(rates_record(rates, traj)))
+            except Exception as exc:  # failures stay in-row, sweep continues
+                row["status"] = f"error: {exc}"
     rows.sort(key=lambda r: r["parameter"])
     return rows
 

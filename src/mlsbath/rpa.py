@@ -157,12 +157,14 @@ def _channel_integral(
     g_s: float,
     slope: float,
     offset: float,
-    shift: float,
+    shifts: list[float],
     cfg: RpaConfig,
-) -> tuple[float, set[str]]:
+) -> tuple[list[float], set[str]]:
     """integral of Re[ c g I / ((y + i shift)(y + i shift - 4 g I)) ] d omega
-    over the spectral support, with y = slope*omega + offset, and the
-    first lines of the IntegrationWarnings the quadrature raised."""
+    over the spectral support, with y = slope*omega + offset, at each of
+    ``shifts``, and the first lines of the IntegrationWarnings the
+    quadrature raised.  The poles do not depend on the shift, so they are
+    located once and every shift is integrated over the same breakpoints."""
     # imported here, not at module level, so that ``import mlsbath`` loads
     # neither scipy.integrate nor scipy.optimize
     from scipy.integrate import IntegrationWarning, quad
@@ -172,9 +174,9 @@ def _channel_integral(
     lo = max(lo, -cfg.omega_max)
     hi = min(hi, cfg.omega_max)
     if g_s == 0.0 or hi <= lo:
-        return 0.0, set()
+        return [0.0] * len(shifts), set()
 
-    def integrand(w: float) -> float:
+    def integrand(w: float, shift: float) -> float:
         intensity = evaluate(model, w)
         y = slope * w + offset + 1j * shift
         return float(np.real(weight_scale * g_s * intensity / (y * (y - 4.0 * g_s * intensity))))
@@ -195,18 +197,20 @@ def _channel_integral(
         elif va * vb < 0:
             points.append(float(brentq(f, grid[k], grid[k + 1])))
     points = sorted({p for p in points if lo < p < hi})
+    values = []
     with catch_warnings(record=True) as caught:
         simplefilter("always", IntegrationWarning)
-        value, _ = quad(
-            integrand, lo, hi, points=points or None, limit=QUAD_LIMIT, epsabs=1e-11, epsrel=1e-9
-        )
+        for shift in shifts:
+            value, _ = quad(integrand, lo, hi, args=(shift,), points=points or None,
+                            limit=QUAD_LIMIT, epsabs=1e-11, epsrel=1e-9)
+            values.append(value)
     notes = set()
     for w in caught:
         if issubclass(w.category, IntegrationWarning):
             notes.add(str(w.message).strip().splitlines()[0])
         else:
             warn_explicit(w.message, w.category, w.filename, w.lineno)
-    return value, notes
+    return values, notes
 
 
 def _richardson(values: list[float]) -> float:
@@ -241,39 +245,30 @@ def delta_n_total(
     e1 = spec.energies[0]
     shifts = [cfg.pole_shift * 0.5**k for k in range(cfg.ladder)]
 
-    n_ladder = []
-    dn2_ladder = []
-    n_notes: set[str] = set()
-    dn2_notes: set[str] = set()
-    for shift in shifts:
-        n_val = 0.0
-        dn2_val = 0.0
+    warnings: list[str] = []
+    limits = []
+    # detuning denominator d_s = omega + offset for the number density,
+    # pair denominator p_s = 2*omega + offset for the fluctuations
+    for name, weight_scale, slope in (("N", 2.0, 1.0), ("(Delta N)^2", 4.0, 2.0)):
+        ladder = [0.0] * cfg.ladder
+        notes: set[str] = set()
         for s in range(spec.n_levels):
-            offset = e1 - spec.energies[s]
             if weights[s] == 0.0:
                 continue
-            # detuning denominator d_s = omega + offset for the number density,
-            # pair denominator p_s = 2*omega + offset for the fluctuations
-            value, notes = _channel_integral(model, 2.0, weights[s], 1.0, offset, shift, cfg)
-            n_val += value
-            n_notes |= notes
-            value, notes = _channel_integral(model, 4.0, weights[s], 2.0, offset, shift, cfg)
-            dn2_val += value
-            dn2_notes |= notes
-        n_ladder.append(n_val)
-        dn2_ladder.append(dn2_val)
-
-    warnings: list[str] = []
-    for name, ladder, notes in (("N", n_ladder, n_notes), ("(Delta N)^2", dn2_ladder, dn2_notes)):
+            values, channel_notes = _channel_integral(
+                model, weight_scale, weights[s], slope, e1 - spec.energies[s], shifts, cfg
+            )
+            ladder = [total + value for total, value in zip(ladder, values)]
+            notes |= channel_notes
         diffs = [abs(ladder[k + 1] - ladder[k]) for k in range(len(ladder) - 1)]
         tol = 1e-12 * max(1.0, abs(ladder[-1]))
         if any(d2 > d1 + tol for d1, d2 in zip(diffs, diffs[1:])):
             warnings.append(f"{name}: pole-shift ladder is not Cauchy, extrapolation unreliable")
         if notes:
             warnings.append(f"{name}: quadrature warning: {' '.join(sorted(notes))}")
+        limits.append(_richardson(ladder))
 
-    n_total = _richardson(n_ladder)
-    dn2 = _richardson(dn2_ladder)
+    n_total, dn2 = limits
     if dn2 < 0.0:
         warnings.append(f"(Delta N)^2 = {dn2:.3e} negative after regularization")
         delta_n = float("nan")

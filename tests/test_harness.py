@@ -20,7 +20,8 @@ from mlsbath.harness import (
     write_trajectory_csv,
     _fmt,
     _point_scenario,
-    _rate_columns,
+    _row_columns,
+    rates_record,
 )
 from mlsbath.rates import extract_rates
 from mlsbath.spectra import correlator_table, evaluate
@@ -47,6 +48,15 @@ t_hi = 0.5
 """
 
 RECTANGLE = "kind = rectangular\narea = 5.0\ncenter = 4.0\nwidth = 8.0"
+
+FLAT_MULTILEVEL_CONFIG = BASE_CONFIG.replace(
+    "kind = three-level", "kind = multilevel\nlevels = 3\nflat = true"
+)
+
+# an off-resonant rectangle with a short ladder: RPA without warnings
+RPA_CONFIG = BASE_CONFIG.replace("center = 4.0", "center = 8.0").replace(
+    "width = 8.0", "width = 1.0"
+) + "\n[rpa]\nladder = 3\nscan_points = 2000\n"
 
 POWER_GAUSSIAN_CONFIG = """
 [system]
@@ -98,7 +108,7 @@ def per_point_row(kind, base, value):
         point = _point_scenario(kind, base, value)
         row["config_hash"] = point.config_hash()
         traj = run_trajectory(point)
-        row.update(_rate_columns(extract_rates(traj, point.window), traj))
+        row.update(_row_columns(rates_record(extract_rates(traj, point.window), traj)))
     except Exception as exc:
         row["status"] = f"error: {exc}"
     return row
@@ -111,7 +121,10 @@ class TestConfigParsing:
         assert scenario.model.area == 5.0
         assert scenario.evolution.dt == 0.005
         assert scenario.window.t_hi == 0.5
-        assert sweep is None and table == {}
+        assert sweep is None
+        # [table] resolved from [evolution] and the rectangle's window()
+        assert table == {"t_max": 0.5, "dt": 0.005, "omega_min": -6.0, "omega_max": 14.0,
+                         "points": 501}
 
     def test_defaults_applied(self, tmp_path):
         text = "[system]\nkind = two-level\n[spectrum]\nkind = lorentzian\narea = 5\ncenter = 0\nwidth = 2\n"
@@ -269,6 +282,33 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=message) as info:
             load_config(path)
         assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize(
+        "base, sweep, key, message",
+        [
+            (BASE_CONFIG, "kind = spectral-area\ngrid = 2 1e150 5", "grid",
+             "sweep grid must be strictly monotone$"),
+            (BASE_CONFIG, "kind = spectral-area\ngrid_log = 1 10 0", "grid_log",
+             "sweep grid must be non-empty$"),
+            (BASE_CONFIG, "kind = spectral-area\ngrid_log = 2 2 3", "grid_log",
+             "sweep grid must be strictly monotone$"),
+            (BASE_CONFIG, "kind = nonsense\ngrid = 1 2", "kind", "unknown sweep kind 'nonsense'"),
+            (BASE_CONFIG, "kind = levels\ngrid = 2 3", "kind",
+             "levels sweep requires a multilevel base system$"),
+            (FLAT_MULTILEVEL_CONFIG, "kind = levels\ngrid = 2 2.5 3.5", "grid",
+             r"levels sweep grid holds a non-integer 2\.5$"),
+            (POWER_GAUSSIAN_CONFIG, "kind = spectral-center\ngrid = 0 1", "kind",
+             "with a center, not power-gaussian$"),
+        ],
+        ids=["not-monotone", "empty", "equal-log-ends", "unknown-kind", "levels-not-multilevel",
+             "levels-non-integer", "center-without-center"],
+    )
+    def test_sweep_error_names_file_section_and_key(self, tmp_path, base, sweep, key, message):
+        path = write(tmp_path, base + f"\n[sweep]\n{sweep}\n")
+        raw = dict(line.split(" = ") for line in sweep.splitlines())[key]
+        with pytest.raises(ConfigError, match=message) as info:
+            load_config(path)
+        assert str(info.value).startswith(f"{path}: [sweep] {key} = {raw!r}: ")
 
     def test_center_sweep_needs_a_center(self, tmp_path):
         text = POWER_GAUSSIAN_CONFIG + "\n[sweep]\nkind = spectral-center\ngrid = 0 1\n"
@@ -500,6 +540,48 @@ class TestSweeps:
         _, sweep, _ = load_config(write(tmp_path, text))
         rows = run_sweep(sweep)
         assert all(r["status"] == "ok" for r in rows)
+
+    def test_levels_sweep_from_one_level(self, tmp_path):
+        # one batch per M: M = 1 fails in its own row only
+        text = FLAT_MULTILEVEL_CONFIG + "\n[sweep]\nkind = levels\ngrid = 1 2 3\n"
+        _, sweep, _ = load_config(write(tmp_path, text))
+        rows = run_sweep(sweep)
+        assert [row["status"] for row in rows] == [
+            "error: need at least 2 levels, got 1", "ok", "ok"
+        ]
+        assert rows == [per_point_row(sweep.kind, sweep.base, value) for value in sweep.grid]
+
+    @pytest.mark.parametrize(
+        "text, kind, key, grid, value",
+        [
+            (BASE_CONFIG, "spectral-area", "area = 5.0", "2 5", "2"),
+            (BASE_CONFIG, "spectral-center", "center = 4.0", "1.5 3", "3"),
+            (FLAT_MULTILEVEL_CONFIG, "levels", "levels = 3", "2 4", "4"),
+            (RPA_CONFIG, "rpa-area", "area = 5.0", "5 15", "15"),
+            (RPA_CONFIG, "rpa-width", "width = 1.0", "0.5 1.5", "0.5"),
+        ],
+        ids=["spectral-area", "spectral-center", "levels", "rpa-area", "rpa-width"],
+    )
+    def test_row_matches_single_run(self, tmp_path, text, kind, key, grid, value):
+        # the row of a point holds what `mlsbath rates` writes to rates.json,
+        # or `mlsbath rpa` to rpa.json, for that point's own config file
+        sweep_text = text + f"\n[sweep]\nkind = {kind}\ngrid = {grid}\n"
+        _, sweep, _ = load_config(write(tmp_path, sweep_text, "sweep.ini"))
+        [row] = [row for row in run_sweep(sweep) if row["parameter"] == float(value)]
+        point = write(tmp_path, text.replace(key, f"{key.split(' = ')[0]} = {value}"), "point.ini")
+        command = "rpa" if kind.startswith("rpa") else "rates"
+        assert main([command, "--config", str(point), "--out", str(tmp_path / "out")]) == 0
+        payload = json.loads((tmp_path / "out" / f"{command}.json").read_text())
+        expected = {"parameter": float(value), "config_hash": payload.pop("config_hash"),
+                    "status": "ok"}
+        for field, result in payload.items():
+            if field == "r_squared":
+                expected.update(zip(["r2_relaxation", "r2_dephasing", "r2_leakage"], result))
+            elif field == "warnings":
+                expected[field] = "; ".join(result)
+            else:
+                expected[field] = result
+        assert row == expected
 
     def test_levels_sweep_needs_integer_grid(self, tmp_path):
         # rounding would run 2.5 as M = 2 under M = 2's hash, and 3.5 as M = 4

@@ -148,16 +148,33 @@ class TestDeltaNTotal:
 
         n_quad = sum(
             _channel_integral(model, 2.0, weights[s], 1.0, spec.energies[0] - spec.energies[s],
-                              shift, cfg)[0]
+                              [shift], cfg)[0][0]
             for s in range(3)
         )
         dn2_quad = sum(
             _channel_integral(model, 4.0, weights[s], 2.0, spec.energies[0] - spec.energies[s],
-                              shift, cfg)[0]
+                              [shift], cfg)[0][0]
             for s in range(3)
         )
         assert n_quad == pytest.approx(n_ref, rel=1e-5)
         assert dn2_quad == pytest.approx(dn2_ref, rel=1e-5)
+
+    def test_one_pole_scan_serves_every_shift(self):
+        # the bare pole at omega = 2 of channel 3 lies inside the support:
+        # one call over the ladder gives each shift's own single-shift value
+        from mlsbath.rpa import _channel_integral
+
+        spec = build_three_level()
+        model = Rectangular(5.0, 2.0, 1.0)
+        g = channel_weights(spec, STATE)[2]
+        offset = spec.energies[0] - spec.energies[2]
+        shifts = [1e-2, 5e-3, 2.5e-3]
+        for scale, slope in ((2.0, 1.0), (4.0, 2.0)):
+            values, _ = _channel_integral(model, scale, g, slope, offset, shifts, QUICK)
+            assert values == [
+                _channel_integral(model, scale, g, slope, offset, [shift], QUICK)[0][0]
+                for shift in shifts
+            ]
 
     def test_ladder_is_cauchy_off_resonance(self):
         spec = build_three_level()
