@@ -400,6 +400,9 @@ def load_config(path: str | Path) -> tuple[ScenarioConfig, SweepSpec | None, dic
 
 def _parse_sweep(sec, base: ScenarioConfig, path: str) -> SweepSpec:
     kind = _typed(sec, "kind", str, path=path)
+    if "grid" in sec and "grid_log" in sec:
+        raise ConfigError(f"{path}: [sweep] grid = {sec['grid']!r}: "
+                          f"grid and grid_log = {sec['grid_log']!r} both given; give one")
     if "grid_log" in sec:
         grid = _typed(sec, "grid_log", _log_grid, path=path,
                       what="'start stop count' with start, stop > 0 and an integer count")

@@ -28,11 +28,18 @@ symmetric principal-value limit and is dropped).  All real poles are
 handled by an imaginary shift ``i*delta`` of the denominators; results
 are Richardson-extrapolated over a ladder of halved shifts, and a
 non-decreasing ladder is flagged as non-convergent.
+
+One :func:`delta_n_total` call evaluates the spectral density once per
+point: the pole-scan grid is tabulated once, and every channel, both
+quantities, every shift and the root search share one memo of scalar
+points.  The integrand runs on Python floats in the operation order of
+numpy's complex128 arithmetic, so its values are the same bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 from warnings import catch_warnings, simplefilter, warn_explicit
 
 import numpy as np
@@ -151,17 +158,62 @@ def rpa_number_density(
     return float(out[0]) if scalar else out
 
 
+class _Spectrum(NamedTuple):
+    """The spectral density as one :func:`delta_n_total` call sees it: the
+    support clipped to ``[-omega_max, omega_max]``, the pole-scan grid with
+    its densities, and a scalar lookup that evaluates each point once."""
+
+    lo: float
+    hi: float
+    grid: np.ndarray
+    grid_density: np.ndarray
+    density: Callable[[float], float]
+
+
+def _tabulate(model: SpectralModel, cfg: RpaConfig) -> _Spectrum:
+    lo, hi = model.support()
+    lo = max(lo, -cfg.omega_max)
+    hi = min(hi, cfg.omega_max)
+    grid = np.linspace(lo, hi, cfg.scan_points)
+    memo: dict[float, float] = {}
+
+    def density(w: float) -> float:
+        value = memo.get(w)
+        if value is None:
+            value = memo[w] = evaluate(model, w)
+        return value
+
+    return _Spectrum(lo, hi, grid, np.asarray(evaluate(model, grid)), density)
+
+
+def _shifted_real(a: float, u: float, b: float, shift: float) -> float:
+    """Re[a / (y (y - b))] with y = u + i*shift, in float arithmetic.
+
+    The operations are those of numpy's complex128 product and quotient,
+    in its order, so the value is the same to the bit: Smith's algorithm,
+    which multiplies by the reciprocal of the scaled denominator (Python's
+    complex division divides by it instead).  ``shift`` > 0 keeps the
+    denominator away from zero.
+    """
+    v = u - b
+    zr = u * v - shift * shift
+    zi = u * shift + shift * v
+    if abs(zr) >= abs(zi):
+        return a * (1.0 / (zr + zi * (zi / zr)))
+    ratio = zr / zi
+    return a * ratio * (1.0 / (zi + zr * ratio))
+
+
 def _channel_integral(
-    model: SpectralModel,
+    spectrum: _Spectrum,
     weight_scale: float,
     g_s: float,
     slope: float,
     offset: float,
     shifts: list[float],
-    cfg: RpaConfig,
 ) -> tuple[list[float], set[str]]:
     """integral of Re[ c g I / ((y + i shift)(y + i shift - 4 g I)) ] d omega
-    over the spectral support, with y = slope*omega + offset, at each of
+    over the clipped support, with y = slope*omega + offset, at each of
     ``shifts``, and the first lines of the IntegrationWarnings the
     quadrature raised.  The poles do not depend on the shift, so they are
     located once and every shift is integrated over the same breakpoints."""
@@ -170,32 +222,35 @@ def _channel_integral(
     from scipy.integrate import IntegrationWarning, quad
     from scipy.optimize import brentq
 
-    lo, hi = model.support()
-    lo = max(lo, -cfg.omega_max)
-    hi = min(hi, cfg.omega_max)
+    lo, hi, grid, grid_density, density = spectrum
     if g_s == 0.0 or hi <= lo:
         return [0.0] * len(shifts), set()
+    # plain floats: numpy scalar arithmetic costs several times more per point
+    g_s = float(g_s)
+    offset = float(offset)
+    numerator = weight_scale * g_s
+    four_g = 4.0 * g_s
 
     def integrand(w: float, shift: float) -> float:
-        intensity = evaluate(model, w)
-        y = slope * w + offset + 1j * shift
-        return float(np.real(weight_scale * g_s * intensity / (y * (y - 4.0 * g_s * intensity))))
+        intensity = density(w)
+        return _shifted_real(numerator * intensity, slope * w + offset, four_g * intensity, shift)
+
+    def resummed(w: float) -> float:
+        return slope * w + offset - four_g * density(w)
 
     # breakpoints: the bare pole y = 0 plus bracketed zeros of y - 4 g I
     points = []
     bare = -offset / slope
     if lo < bare < hi:
         points.append(bare)
-    grid = np.linspace(lo, hi, cfg.scan_points)
-    resummed = slope * grid + offset - 4.0 * g_s * np.asarray(evaluate(model, grid))
-    sign_change = np.nonzero(np.diff(np.sign(resummed)) != 0)[0]
+    scanned = slope * grid + offset - four_g * grid_density
+    sign_change = np.nonzero(np.diff(np.sign(scanned)) != 0)[0]
     for k in sign_change:
-        f = lambda w: slope * w + offset - 4.0 * g_s * float(evaluate(model, w))
-        va, vb = f(grid[k]), f(grid[k + 1])
+        va, vb = resummed(grid[k]), resummed(grid[k + 1])
         if va == 0.0:
             points.append(float(grid[k]))
         elif va * vb < 0:
-            points.append(float(brentq(f, grid[k], grid[k + 1])))
+            points.append(float(brentq(resummed, grid[k], grid[k + 1])))
     points = sorted({p for p in points if lo < p < hi})
     values = []
     with catch_warnings(record=True) as caught:
@@ -243,6 +298,7 @@ def delta_n_total(
     """
     weights = channel_weights(spec, state)
     e1 = spec.energies[0]
+    spectrum = _tabulate(model, cfg)
     shifts = [cfg.pole_shift * 0.5**k for k in range(cfg.ladder)]
 
     warnings: list[str] = []
@@ -256,7 +312,7 @@ def delta_n_total(
             if weights[s] == 0.0:
                 continue
             values, channel_notes = _channel_integral(
-                model, weight_scale, weights[s], slope, e1 - spec.energies[s], shifts, cfg
+                spectrum, weight_scale, weights[s], slope, e1 - spec.energies[s], shifts
             )
             ladder = [total + value for total, value in zip(ladder, values)]
             notes |= channel_notes

@@ -46,6 +46,7 @@ plus its name in ``FAMILIES`` and ``SpectralModel``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -188,7 +189,7 @@ class PowerGaussian:
                 f"ohmicity must exceed -2 for a finite area, got {self.ohmicity}"
             )
 
-    @property
+    @cached_property
     def amplitude(self) -> float:
         """Prefactor making the omega >= 0 integral equal the requested area."""
         nu = self.ohmicity

@@ -299,9 +299,11 @@ class TestConfigParsing:
              r"levels sweep grid holds a non-integer 2\.5$"),
             (POWER_GAUSSIAN_CONFIG, "kind = spectral-center\ngrid = 0 1", "kind",
              "with a center, not power-gaussian$"),
+            (BASE_CONFIG, "kind = spectral-area\ngrid = 1 2\ngrid_log = 1 100 3", "grid",
+             "grid and grid_log = '1 100 3' both given; give one$"),
         ],
         ids=["not-monotone", "empty", "equal-log-ends", "unknown-kind", "levels-not-multilevel",
-             "levels-non-integer", "center-without-center"],
+             "levels-non-integer", "center-without-center", "grid-and-grid_log"],
     )
     def test_sweep_error_names_file_section_and_key(self, tmp_path, base, sweep, key, message):
         path = write(tmp_path, base + f"\n[sweep]\n{sweep}\n")

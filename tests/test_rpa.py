@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from mlsbath import rpa
 from mlsbath.model import (
     QubitInitialState,
     SystemSpec,
@@ -13,15 +14,20 @@ from mlsbath.model import (
 )
 from mlsbath.rpa import (
     RpaConfig,
+    _channel_integral,
+    _shifted_real,
+    _tabulate,
     channel_weights,
     delta_n_total,
     n_second_order,
     rpa_number_density,
 )
-from mlsbath.spectra import Lorentzian, Rectangular, evaluate
+from mlsbath.spectra import Lorentzian, PowerGaussian, Rectangular, evaluate
 
 STATE = default_initial_state()
 QUICK = RpaConfig(ladder=3, scan_points=2000)
+# the shifts of the default ladder
+DEFAULT_SHIFTS = [RpaConfig().pole_shift * 0.5**k for k in range(RpaConfig().ladder)]
 
 
 class TestChannelWeights:
@@ -144,16 +150,15 @@ class TestDeltaNTotal:
                 grid,
             )
         # compare against the same-shift adaptive quadrature
-        from mlsbath.rpa import _channel_integral
-
+        spectrum = _tabulate(model, cfg)
         n_quad = sum(
-            _channel_integral(model, 2.0, weights[s], 1.0, spec.energies[0] - spec.energies[s],
-                              [shift], cfg)[0][0]
+            _channel_integral(spectrum, 2.0, weights[s], 1.0, spec.energies[0] - spec.energies[s],
+                              [shift])[0][0]
             for s in range(3)
         )
         dn2_quad = sum(
-            _channel_integral(model, 4.0, weights[s], 2.0, spec.energies[0] - spec.energies[s],
-                              [shift], cfg)[0][0]
+            _channel_integral(spectrum, 4.0, weights[s], 2.0, spec.energies[0] - spec.energies[s],
+                              [shift])[0][0]
             for s in range(3)
         )
         assert n_quad == pytest.approx(n_ref, rel=1e-5)
@@ -162,19 +167,53 @@ class TestDeltaNTotal:
     def test_one_pole_scan_serves_every_shift(self):
         # the bare pole at omega = 2 of channel 3 lies inside the support:
         # one call over the ladder gives each shift's own single-shift value
-        from mlsbath.rpa import _channel_integral
-
         spec = build_three_level()
-        model = Rectangular(5.0, 2.0, 1.0)
+        spectrum = _tabulate(Rectangular(5.0, 2.0, 1.0), QUICK)
         g = channel_weights(spec, STATE)[2]
         offset = spec.energies[0] - spec.energies[2]
         shifts = [1e-2, 5e-3, 2.5e-3]
         for scale, slope in ((2.0, 1.0), (4.0, 2.0)):
-            values, _ = _channel_integral(model, scale, g, slope, offset, shifts, QUICK)
+            values, _ = _channel_integral(spectrum, scale, g, slope, offset, shifts)
             assert values == [
-                _channel_integral(model, scale, g, slope, offset, [shift], QUICK)[0][0]
+                _channel_integral(spectrum, scale, g, slope, offset, [shift])[0][0]
                 for shift in shifts
             ]
+
+    @pytest.mark.parametrize(
+        "model",
+        [Lorentzian(5.0, 1.5, 1.0), PowerGaussian(5.0, 0.0, 1.0)],
+        ids=["lorentzian", "power-gaussian"],
+    )
+    def test_each_density_point_evaluated_once(self, monkeypatch, model):
+        # every channel, both quantities, every shift and the root finder
+        # share one lookup: no scalar omega reaches evaluate twice
+        scalars = []
+
+        def spy(m, omega):
+            if np.ndim(omega) == 0:
+                scalars.append(float(omega))
+            return evaluate(m, omega)
+
+        monkeypatch.setattr(rpa, "evaluate", spy)
+        delta_n_total(build_three_level(), model, STATE, QUICK)
+        assert len(scalars) > 1000
+        assert len(set(scalars)) == len(scalars)
+
+    @pytest.mark.parametrize("shift", DEFAULT_SHIFTS)
+    def test_float_integrand_matches_complex128(self, shift):
+        # Re[a / (y (y - b))] with y = u + i*shift, against numpy's complex128
+        # arithmetic on numpy scalars, to the bit; points on both sides of
+        # |Re z| = |Im z| for z = y (y - b), and of both signs
+        sides = set()
+        for a in (0.37, -2.5e-3):
+            for u in (-3.0, -0.02, -shift, -1e-5, 0.0, 1e-5, shift, 0.02, 3.0):
+                for b in (-0.4, -1e-3, 0.0, 1e-3, 0.4):
+                    y = np.float64(u) + 1j * shift
+                    z = y * (y - np.float64(b))
+                    sides.add(abs(z.real) >= abs(z.imag))
+                    expected = float(np.real(np.float64(a) / z))
+                    assert _shifted_real(a, u, b, shift) == expected
+        assert sides == {True, False}
 
     def test_ladder_is_cauchy_off_resonance(self):
         spec = build_three_level()
