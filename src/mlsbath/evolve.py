@@ -25,26 +25,25 @@ trapezoidal corrector iterations.  The kernel action factorizes as ``-[V_t, S1(t
 ``S1 = integral F V rho`` and ``S2 = integral conj(F) rho V``.
 
 Only the newest trapezoid term of S1 - S2 depends on the state being
-corrected; the rest, the history term, is formed once per step from one
-of two sources:
-
-* exponential modes -- when ``F(tau) = sum_q c_q e^(lambda_q tau)`` on
-  the grid (:func:`~mlsbath.spectra.correlator_modes`), K running sums
-  ``G_q <- e^(lambda_q dt) (G_q + w_k V_k rho_k)`` give the history term
-  as ``sum_q c_q G_q``: O(K M^2) per step, O(n_steps) in total;
-* the full history -- the weighted sum over every stored product,
-  O(n_steps^2) in total.  It serves every other correlator and is the
-  reference the mode path is tested against.
+corrected; the rest, the history term, is formed once per step from the
+correlator's exponential modes ``F(tau) = sum_q c_q e^(lambda_q tau)`` on
+the grid (:func:`~mlsbath.spectra.correlator_modes`, every spectral
+family): K running sums ``G_q <- e^(lambda_q dt) (G_q + w_k V_k rho_k)``
+give the history term as ``sum_q c_q G_q``, O(K M^2) per step and
+O(n_steps) in total.  A row whose correlator has no modes within bounds
+on the grid does not step and gets an IntegrationError.  The O(n_steps^2)
+sum over every stored step, which the mode path is tested against, is
+``full_history_integrate`` in ``tests/oracles.py``.
 
 Every array of the stepping loop has a leading batch axis over rows that
 share the system, the initial state and the grid and differ only in their
 spectral model (:func:`integrate_batch`; the points of an area or center
 sweep), so the rows share a step's Python and numpy call overhead, most
-of its cost at a few levels.  Each history path -- the full history, or K
-modes for each K present, never padded -- serves one slice of the rows.
-Every operation acts on each row alone, so a row's bytes do not depend
-on its neighbours, :func:`integrate` is the one-row case, and the stored
-states can be checked once, after the last step.
+of its cost at a few levels.  The rows with K modes, for each K present,
+share one history, never padded.  Every operation acts on each row alone,
+so a row's bytes do not depend on its neighbours, :func:`integrate` is
+the one-row case, and the stored states can be checked once, after the
+last step.
 """
 
 from __future__ import annotations
@@ -55,16 +54,12 @@ from itertools import groupby
 import numpy as np
 
 from .model import DensityMatrix, SystemSpec, interaction_coupling, require_finite
-from .spectra import ExpModes, SpectralModel, correlator_modes, correlator_table
+from .spectra import ExpModes, IntegrationError, SpectralModel, correlator_modes, correlator_table
 
 __all__ = ["EvolutionConfig", "Trajectory", "IntegrationError", "integrate", "integrate_batch"]
 
 MAX_STEP = 0.01  # resolves the fastest phases by a wide margin
 TRACE_ABORT = 1e-4
-
-
-class IntegrationError(RuntimeError):
-    """Raised when the integrator detects divergence or invalid state."""
 
 
 @dataclass(frozen=True)
@@ -101,9 +96,8 @@ class Trajectory:
     coherence magnitude |rho_12| (picture-independent for the
     degenerate qubit pair) and the leakage 1 - rho_11 - rho_22.
     ``history_modes`` is the number of exponential modes the history
-    sums ran on (0 for the full history) and ``mode_error`` their
-    max-norm distance from the correlator table (0.0 for the full
-    history).
+    sums ran on and ``mode_error`` their max-norm distance from the
+    correlator table.
     """
 
     times: np.ndarray
@@ -124,36 +118,6 @@ class Trajectory:
     @property
     def leakage(self) -> np.ndarray:
         return 1.0 - np.real(self.states[:, 0, 0] + self.states[:, 1, 1])
-
-
-class _FullHistory:
-    """History terms of G rows from every stored product: O(k M^2) per row
-    at step k.
-
-    ``products[g, 0, k]`` holds ``V rho`` and ``products[g, 1, k]`` holds
-    ``rho V`` of row g at step k; one stacked matmul contracts them with
-    the weighted correlator and its conjugate.
-    """
-
-    def __init__(self, f_tables: np.ndarray, dt: float, n: int, m: int):
-        self.f_pair = np.stack([f_tables, np.conj(f_tables)], axis=1)
-        self.weights = np.full(n + 1, dt)
-        self.weights[0] = 0.5 * dt
-        self.products = np.empty((len(f_tables), 2, n + 1, m * m), dtype=complex)
-        self.m = m
-        self.count = 0
-
-    def push(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Take ``V rho`` and ``rho V`` of the newest final states; return
-        the next step's history terms."""
-        k = self.count
-        g = len(left)
-        self.products[:, 0, k] = left.reshape(g, -1)
-        self.products[:, 1, k] = right.reshape(g, -1)
-        self.count = k + 1
-        wf = self.weights[: k + 1] * self.f_pair[:, :, k + 1 : 0 : -1]
-        s = wf[:, :, None, :] @ self.products[:, :, : k + 1]
-        return (s[:, 0, 0] - s[:, 1, 0]).reshape(g, self.m, self.m)
 
 
 class _ModeHistory:
@@ -193,23 +157,14 @@ def integrate(
     rho0: DensityMatrix,
     cfg: EvolutionConfig = EvolutionConfig(),
 ) -> Trajectory:
-    """Integrate the memory-kernel master equation on a uniform grid.
+    """Integrate the memory-kernel master equation of the system ``spec``
+    in the spectrum ``model`` from ``rho0`` (factorized from the
+    environment at t = 0) on the uniform grid of ``cfg``.
 
     The one-row case of :func:`integrate_batch`: every step is stored,
-    and the row's IntegrationError (non-finite state, or trace drift
-    beyond 1e-4, naming the offending step) is raised.
-
-    Parameters
-    ----------
-    spec : SystemSpec
-        System energies and couplings.
-    model : SpectralModel
-        Environment spectral density; its correlator is tabulated on
-        the integration grid before stepping.
-    rho0 : DensityMatrix
-        Initial state (taken factorized from the environment at t=0).
-    cfg : EvolutionConfig
-        Grid and corrector settings.
+    and the row's IntegrationError (no exponential modes within bounds,
+    non-finite state, or trace drift beyond 1e-4, naming the offending
+    step) is raised.
     """
     (result,) = integrate_batch(spec, [model], rho0, cfg)
     if isinstance(result, IntegrationError):
@@ -227,23 +182,23 @@ def integrate_batch(
     initial state and grid, in one stepping loop.
 
     Every step is stored.  A row's history term costs O(K M^2) per step
-    when its correlator has K exponential modes on the grid, else O(k M^2)
-    at step k (O(n_steps^2) in total); ``Trajectory.history_modes`` and
-    ``Trajectory.mode_error`` record which path ran.  Each row's
-    arithmetic is the same whatever rows run beside it.
+    for the K exponential modes of its correlator on the grid, recorded
+    with their error in ``Trajectory.history_modes`` and
+    ``Trajectory.mode_error``.  Each row's arithmetic is the same whatever
+    rows run beside it.
 
-    Returns each row's Trajectory, in the order of ``models``, or, for a
-    row whose state became non-finite or whose trace drifted beyond 1e-4,
-    an IntegrationError naming the first such step.  A failed row does
-    not stop the others; the stored states are checked after the last
-    step.
+    Returns each row's Trajectory, in the order of ``models``, or an
+    IntegrationError: before stepping, from
+    :func:`~mlsbath.spectra.correlator_modes` (more modes than the grid
+    allows, or modes that miss the table); after it, naming the first step
+    at which the row's state became non-finite or its trace drifted beyond
+    1e-4.  A failed row does not stop the others; the stored states are
+    checked after the last step.
     """
     if rho0.n_levels != spec.n_levels:
         raise ValueError(
             f"initial state has {rho0.n_levels} levels, system has {spec.n_levels}"
         )
-    if not models:
-        return []
     n = cfg.n_steps
     m = spec.n_levels
     dt = cfg.dt
@@ -251,21 +206,25 @@ def integrate_batch(
     times = np.arange(n + 1) * dt
 
     tables = [correlator_table(model, n * dt if n > 0 else dt, dt)[: n + 1] for model in models]
-    modes = [correlator_modes(model, table, dt) for model, table in zip(models, tables)]
+    results: list = [None] * len(models)
+    modes = {}
+    for r, (model, table) in enumerate(zip(models, tables)):
+        try:
+            modes[r] = correlator_modes(model, table, dt)
+        except IntegrationError as exc:
+            results[r] = exc
 
-    # rows step sorted by history path (0: full history, else the mode
-    # count K), so that each history serves one slice of rows
-    path = [0 if row_modes is None else len(row_modes.coeffs) for row_modes in modes]
-    rows = sorted(range(len(models)), key=path.__getitem__)
-    histories = []  # (history, its slice of rows)
-    for k, members in groupby(rows, key=path.__getitem__):
-        members = list(members)
-        if k == 0:
-            history = _FullHistory(np.array([tables[r] for r in members]), dt, n, m)
-        else:
-            history = _ModeHistory([modes[r] for r in members], dt, m)
-        start = histories[-1][1].stop if histories else 0
-        histories.append((history, slice(start, start + len(members))))
+    # rows step sorted by mode count K, so that each history serves one
+    # slice of rows; a row that has no modes does not step
+    count = {r: len(row_modes.coeffs) for r, row_modes in modes.items()}
+    rows = sorted(modes, key=count.__getitem__)
+    if not rows:
+        return results
+    histories, start = [], 0  # (history, its slice of rows)
+    for _, members in groupby(rows, key=count.__getitem__):
+        members = [modes[r] for r in members]
+        histories.append((_ModeHistory(members, dt, m), slice(start, start + len(members))))
+        start += len(members)
 
     couplings = interaction_coupling(spec, times[:, None, None])
 
@@ -284,7 +243,6 @@ def integrate_batch(
     left = couplings[0] @ states[:, 0]
     right = states[:, 0] @ couplings[0]
     d_here = np.zeros((len(rows), m, m), dtype=complex)
-    results: list = [None] * len(models)
     # a row that overflows has a non-finite state from then on, and its
     # steps from the first failed one on are discarded below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -321,7 +279,7 @@ def integrate_batch(
                 states=states[j],
                 max_trace_drift=float(drift.max()),
                 max_hermiticity_defect=float(defect.max()),
-                history_modes=path[r],
-                mode_error=0.0 if modes[r] is None else modes[r].error,
+                history_modes=count[r],
+                mode_error=modes[r].error,
             )
     return results

@@ -22,11 +22,12 @@ exactly at ``tau = 0``.  The tests check the closed forms against
 adaptive oscillatory quadrature of the density (``quad_correlator`` in
 ``tests/oracles.py``).
 
-For the integrator's history sums, :func:`correlator_modes` writes the
-rectangular and Lorentzian correlators on a finite grid as a sum of
-exponentials ``F(tau) = sum_q c_q e^(lambda_q tau)`` (the Lorentzian
-decomposition of Meier & Tannor, J. Chem. Phys. 111, 3365 (1999)),
-checked in max norm against the tabulated correlator.
+For the integrator's history sums, :func:`correlator_modes` writes every
+family's correlator on a finite grid as a sum of exponentials
+``F(tau) = sum_q c_q e^(lambda_q tau)`` (the Lorentzian decomposition of
+Meier & Tannor, J. Chem. Phys. 111, 3365 (1999); quadrature nodes of the
+spectral integral for the others), within the one mode policy: a bound on
+the node count and a max-norm tolerance against the tabulated correlator.
 
 Everything particular to a family lives on its class:
 
@@ -35,9 +36,10 @@ Everything particular to a family lives on its class:
   fixes the accepted keys, the canonical text and the ``rpa-width``
   sweep (the last key);
 * ``density(w)``, ``support()``, ``window()`` (the default range of a
-  spectrum table), the closed-form ``correlator(tau)`` for ``tau >= 0``
-  and ``exp_modes(steps, dt)``, the ``(coeffs, rates)`` of an
-  exponential expansion on the grid ``{0, dt, ..., steps * dt}`` or None.
+  spectrum table), the closed-form ``correlator(tau)`` for ``tau >= 0``,
+  and ``mode_count(steps, dt)`` and ``exp_modes(steps, dt)``: the size and
+  the ``(coeffs, rates)`` of an exponential expansion on the grid
+  ``{0, dt, ..., steps * dt}``.
 
 ``FAMILIES`` maps each ``kind`` to its class; a new family is its class
 plus its name in ``FAMILIES`` and ``SpectralModel``.
@@ -51,7 +53,7 @@ from typing import Union
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
-from scipy.special import hyp1f1, poch, roots_legendre
+from scipy.special import gammainccinv, hyp1f1, poch, roots_jacobi, roots_legendre
 
 from .model import require_finite
 
@@ -65,16 +67,23 @@ __all__ = [
     "correlator",
     "correlator_table",
     "ExpModes",
+    "IntegrationError",
     "correlator_modes",
 ]
 
 # A mode expansion must reproduce the correlator table to this fraction
-# of the area in max norm, or the integrator keeps the full history.
+# of the area in max norm.
 MODE_TOLERANCE = 1e-12
-# Beyond this many modes the per-step mode update (about 6 K M^2
-# operations) nears the full history sum (2 k M^2 at step k) on grids of
-# a few thousand steps.
+# A grid may take max(MAX_MODES, n_steps) modes.  Node counts grow with
+# the spectrum's phase span over t_max (about eps * t_max / 2 for the
+# rectangle), so more modes than steps marks a grid far too coarse for
+# its spectrum (eps * dt >= 2 for the rectangle).
 MAX_MODES = 256
+
+
+class IntegrationError(RuntimeError):
+    """Raised when a trajectory cannot be integrated: its correlator has no
+    exponential modes within bounds on the grid, or its state diverged."""
 
 
 @dataclass(frozen=True)
@@ -116,14 +125,12 @@ class Rectangular:
         envelope = np.where(small, 1.0 - x * x / 6.0, np.sin(xs) / xs)
         return self.area * np.exp(1j * self.center * tau) * envelope
 
+    def mode_count(self, steps: int, dt: float) -> int:
+        return _gauss_count(self.half_width * steps * dt)
+
     def exp_modes(self, steps: int, dt: float):
         # Gauss-Legendre nodes of (A/2) int_{-1}^{1} e^(i(center + eps x) tau) dx
-        span = self.half_width * steps * dt
-        count = int(np.ceil(0.5 * span + 4.0 * np.cbrt(span) + 8.0))
-        # capped before the nodes are built: their cost grows faster than count
-        if count > MAX_MODES:
-            return None
-        nodes, weights = roots_legendre(count)
+        nodes, weights = roots_legendre(self.mode_count(steps, dt))
         coeffs = (0.5 * self.area * weights).astype(complex)
         return coeffs, 1j * (self.center + self.half_width * nodes)
 
@@ -157,6 +164,9 @@ class Lorentzian:
 
     def correlator(self, tau):
         return self.area * np.exp((1j * self.center - self.width) * tau)
+
+    def mode_count(self, steps: int, dt: float) -> int:
+        return 1
 
     def exp_modes(self, steps: int, dt: float):
         return np.array([self.area], dtype=complex), np.array([1j * self.center - self.width])
@@ -221,8 +231,34 @@ class PowerGaussian:
             hyp1f1(a, 0.5, z) + 2j * y * poch(a, 0.5) * hyp1f1(a + 0.5, 1.5, z)
         )
 
+    def _panels(self, steps: int, dt: float) -> tuple[list[float], list[int]]:
+        """Edges and node counts of the panels of [0, X] in x = omega / L:
+        Gauss-Jacobi on [0, h], then Gauss-Legendre panels, each twice as
+        wide as the one before.  X leaves out under 1e-16 of the area."""
+        x_max = 2.0 * np.sqrt(gammainccinv(1.0 + 0.5 * self.ohmicity, 1e-16))
+        phase = self.cutoff * steps * dt  # phase at t_max per unit of x
+        edges = [0.0, min(x_max, 2.0 / phase)]
+        while edges[-1] < x_max:
+            edges.append(min(x_max, 2.0 * edges[-1]))
+        return edges, [24] + [_gauss_count(a) for a in 0.5 * phase * np.diff(edges[1:])]
+
+    def mode_count(self, steps: int, dt: float) -> int:
+        return sum(self._panels(steps, dt)[1])
+
     def exp_modes(self, steps: int, dt: float):
-        return None  # no mode expansion yet: the integrator keeps the full history
+        # nodes of int_0^X x^(1+nu) e^(-x^2/4) e^(i L x tau) dx, whose
+        # x^(1+nu) endpoint singularity is the Jacobi weight, scaled to the area
+        edges, counts = self._panels(steps, dt)
+        beta = 1.0 + self.ohmicity
+        t, w = roots_jacobi(counts[0], 0.0, beta)
+        nodes, weights = [0.5 * edges[1] * (1.0 + t)], [(0.5 * edges[1]) ** (1.0 + beta) * w]
+        for lo, hi, count in zip(edges[1:], edges[2:], counts[1:]):
+            t, w = roots_legendre(count)
+            nodes.append(lo + 0.5 * (hi - lo) * (1.0 + t))
+            weights.append(0.5 * (hi - lo) * w * nodes[-1] ** beta)
+        x = np.concatenate(nodes)
+        weights = np.concatenate(weights) * np.exp(-0.25 * x * x)
+        return (self.area / weights.sum() * weights).astype(complex), 1j * self.cutoff * x
 
 
 SpectralModel = Union[Rectangular, Lorentzian, PowerGaussian]
@@ -271,6 +307,12 @@ class ExpModes:
     error: float
 
 
+def _gauss_count(a: float) -> int:
+    """Gauss-Legendre nodes that integrate e^(i a s) times a smooth factor
+    over s in [-1, 1] to about 1e-14; ``a`` is the top phase at t_max."""
+    return int(np.ceil(0.5 * a + 4.0 * np.cbrt(a) + 8.0))
+
+
 def _max_mode_error(coeffs, rates, table, dt) -> float:
     """Max |sum_q c_q e^(lambda_q k dt) - table[k]|, in row blocks so the
     temporaries stay at ``block * K`` entries.
@@ -290,27 +332,26 @@ def _max_mode_error(coeffs, rates, table, dt) -> float:
     return error
 
 
-def correlator_modes(model: SpectralModel, table: np.ndarray, dt: float) -> ExpModes | None:
-    """Exponential modes reproducing ``table`` (F at ``k * dt``).
+def correlator_modes(model: SpectralModel, table: np.ndarray, dt: float) -> ExpModes:
+    """Exponential modes reproducing ``table`` (F at ``k * dt``), from the
+    family's ``exp_modes``: the Lorentzian's one exact mode, ``c = A`` and
+    ``lambda = i*center - width``, or the quadrature nodes x_q and weights
+    w_q of the rectangular and power-Gaussian spectral integrals
+    ``int g(x) e^(i omega(x) tau) dx``, ``c_q = w_q g(x_q)`` and
+    ``lambda_q = i omega(x_q)``, their count growing with ``omega t_max``.
 
-    The modes come from the family's ``exp_modes``.  The Lorentzian
-    correlator is one exact mode, ``c = A`` and ``lambda = i*center - width``.
-    The rectangular correlator is the spectral integral
-    ``(A/2) int_{-1}^{1} e^(i(center + eps x) tau) dx``; its Gauss-Legendre
-    nodes x_q and weights w_q give ``c_q = A w_q / 2`` and
-    ``lambda_q = i(center + eps x_q)``, with the node count set by
-    ``eps * t_max`` (about 1e-14 of the area).
-
-    Returns None, meaning the caller keeps the full history, for the
-    power-Gaussian (no mode expansion yet), when more than ``MAX_MODES``
-    nodes are needed, or when the max-norm error exceeds
-    ``MODE_TOLERANCE * area``.
+    Raises IntegrationError, before any node is built, when the family
+    needs more than ``max(MAX_MODES, n_steps)`` nodes, or when the modes
+    miss the table by more than ``MODE_TOLERANCE * area`` in max norm.
     """
-    modes = model.exp_modes(len(table) - 1, dt)
-    if modes is None:
-        return None
-    coeffs, rates = modes
-    error = _max_mode_error(coeffs, rates, table, dt)
-    if not error <= MODE_TOLERANCE * model.area:
-        return None
+    steps = len(table) - 1
+    count, limit = model.mode_count(steps, dt), max(MAX_MODES, steps)
+    if count > limit:
+        raise IntegrationError(f"the correlator needs {count} exponential modes on this grid, "
+                               f"more than the {limit} allowed (max of {MAX_MODES} and the steps)")
+    coeffs, rates = model.exp_modes(steps, dt)
+    error, tolerance = _max_mode_error(coeffs, rates, table, dt), MODE_TOLERANCE * model.area
+    if not error <= tolerance:
+        raise IntegrationError(f"exponential modes miss the correlator table by {error:.3e}, above "
+                               f"the tolerance {tolerance:.3e} ({MODE_TOLERANCE:g} of the area)")
     return ExpModes(coeffs, rates, error)

@@ -7,7 +7,10 @@ production path:
   oscillatory quadrature of the spectral density, against which every
   family's closed-form ``correlator`` is checked;
 * :func:`kernel_apply` -- the memory-kernel action at one time pair,
-  against which the integrator's factorized history sums are checked.
+  against which the integrator's factorized history sums are checked;
+* :func:`full_history_integrate` -- the integrator with its history term
+  summed over every stored step, O(n_steps^2), against which the
+  exponential-mode history of every spectral family is checked.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import quad
 
-from mlsbath.model import SystemSpec, interaction_coupling
-from mlsbath.spectra import PowerGaussian, SpectralModel, evaluate
+from mlsbath.evolve import EvolutionConfig
+from mlsbath.model import DensityMatrix, SystemSpec, interaction_coupling
+from mlsbath.spectra import PowerGaussian, SpectralModel, correlator_table, evaluate
 
 # Absolute tolerance and subdivision cap of each adaptive rule in the
 # quadrature oracle.
@@ -106,3 +110,55 @@ def kernel_apply(
     return f_value * (v_t @ v_p @ rho - v_p @ rho @ v_t) + np.conj(f_value) * (
         rho @ v_p @ v_t - v_t @ rho @ v_p
     )
+
+
+def full_history_integrate(
+    spec: SystemSpec, model: SpectralModel, rho0: DensityMatrix, cfg: EvolutionConfig
+) -> np.ndarray:
+    """States of the trapezoidal predictor-corrector of ``mlsbath.evolve``
+    for one row, with the history term of step k + 1 summed over every
+    stored step j <= k:
+
+        sum_j w_j [F((k + 1 - j) dt) V_j rho_j - conj(F((k + 1 - j) dt)) rho_j V_j],
+
+    with ``w_0 = dt/2`` and ``w_j = dt`` otherwise: O(k M^2) at step k,
+    O(n_steps^2) in total.  ``products[0, j]`` holds ``V_j rho_j`` and
+    ``products[1, j]`` holds ``rho_j V_j``.
+    """
+    n = cfg.n_steps
+    m = spec.n_levels
+    dt = cfg.dt
+    half = 0.5 * dt
+    times = np.arange(n + 1) * dt
+    table = correlator_table(model, n * dt, dt)
+    f_pair = np.stack([table, np.conj(table)])
+    weights = np.full(n + 1, dt)
+    weights[0] = half
+    products = np.empty((2, n + 1, m * m), dtype=complex)
+    couplings = interaction_coupling(spec, times[:, None, None])
+    f_newest = half * table[0]
+
+    def derivative(v, hist, left, right):
+        x = hist + (f_newest * left - np.conj(f_newest) * right)
+        return x @ v - v @ x
+
+    states = np.empty((n + 1, m, m), dtype=complex)
+    states[0] = rho0.entries
+    left = couplings[0] @ states[0]
+    right = states[0] @ couplings[0]
+    d_here = np.zeros((m, m), dtype=complex)
+    for i in range(n):
+        products[0, i] = left.ravel()
+        products[1, i] = right.ravel()
+        wf = weights[: i + 1] * f_pair[:, i + 1 : 0 : -1]
+        s = wf[:, None, :] @ products[:, : i + 1]
+        hist = (s[0, 0] - s[1, 0]).reshape(m, m)
+        v = couplings[i + 1]
+        nxt = states[i] + dt * d_here
+        for _ in range(cfg.corrector_iterations):
+            nxt = states[i] + half * (d_here + derivative(v, hist, v @ nxt, nxt @ v))
+        states[i + 1] = nxt
+        left = v @ nxt
+        right = nxt @ v
+        d_here = derivative(v, hist, left, right)
+    return states

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from mlsbath import evolve
+from mlsbath import spectra
 from mlsbath.evolve import EvolutionConfig, IntegrationError, integrate, integrate_batch
 from mlsbath.model import (
     SystemSpec,
@@ -23,7 +23,7 @@ from mlsbath.spectra import (
     correlator_table,
 )
 
-from oracles import kernel_apply
+from oracles import full_history_integrate, kernel_apply
 
 
 def random_hermitian(rng, m):
@@ -245,14 +245,6 @@ class TestIntegrate:
             integrate(spec, Rectangular(5.0, 1.5, 1.0), rho0)
 
 
-def full_history_integrate(monkeypatch, spec, model, rho0, cfg):
-    """The production integrator with the mode path switched off: the
-    full-history sums every mode run is checked against."""
-    with monkeypatch.context() as patch:
-        patch.setattr(evolve, "correlator_modes", lambda *args: None)
-        return integrate(spec, model, rho0, cfg)
-
-
 class TestHistoryPaths:
     @pytest.mark.parametrize(
         "levels, model, cfg",
@@ -266,52 +258,65 @@ class TestHistoryPaths:
             (3, Lorentzian(50.0, 0.0, 80.0 / np.pi), EvolutionConfig(2.5, 0.002)),
             (10, Rectangular(5.0, 2.0, 6.0), EvolutionConfig(1.0, 0.002)),
             (10, Lorentzian(5.0, 2.0, 3.0), EvolutionConfig(1.0, 0.002)),
+        ]
+        + [
+            # power-Gaussian L * t_max from 0.1 to 12.5, sub- to super-Ohmic
+            (levels, PowerGaussian(5.0, nu, cutoff), EvolutionConfig(t_max, 0.002))
+            for levels, t_max in ((3, 2.5), (10, 1.0))
+            for nu in (-1.5, -1.0, 0.0, 1.0, 2.0)
+            for cutoff in (0.1, 1.0, 5.0)
         ],
     )
-    def test_modes_match_full_history(self, monkeypatch, levels, model, cfg):
+    def test_modes_match_full_history(self, levels, model, cfg):
         spec = build_three_level() if levels == 3 else build_multilevel(levels, delta=5.0)
         rho0 = initial_density(default_initial_state(), levels)
         fast = integrate(spec, model, rho0, cfg)
-        oracle = full_history_integrate(monkeypatch, spec, model, rho0, cfg)
-        assert fast.history_modes > 0 and oracle.history_modes == 0
+        assert fast.history_modes > 0
         if isinstance(model, Lorentzian):
             assert fast.history_modes == 1
         assert fast.mode_error <= 1e-12 * model.area
-        assert oracle.mode_error == 0.0
-        assert np.max(np.abs(fast.states - oracle.states)) <= 1e-12
+        oracle = full_history_integrate(spec, model, rho0, cfg)
+        assert np.max(np.abs(fast.states - oracle)) <= 1e-12
 
-    def test_power_gaussian_takes_full_history(self):
-        spec = build_three_level()
-        rho0 = initial_density(default_initial_state(), 3)
-        traj = integrate(spec, PowerGaussian(5.0, 0.0, 2.0), rho0, EvolutionConfig(0.1, 0.01))
-        assert traj.history_modes == 0 and traj.mode_error == 0.0
-
-    def test_power_gaussian_closed_form_has_no_modes(self):
-        # the Kummer closed form fills the table, but no mode expansion exists yet
-        model = PowerGaussian(5.0, 0.0, 2.0)
-        table = correlator_table(model, 0.1, 0.01)
-        assert correlator_modes(model, table, 0.01) is None
-
-    def test_mode_count_above_cap_falls_back(self):
-        # eps * t_max = 600 needs about 340 Gauss-Legendre nodes
+    def test_modes_above_fixed_cap_match_full_history(self):
+        # eps * t_max = 600 needs about 340 Gauss-Legendre nodes: more than
+        # MAX_MODES, fewer than the 1000 steps
         spec = build_three_level()
         rho0 = initial_density(default_initial_state(), 3)
         model = Rectangular(5.0, 0.0, 600.0)
         cfg = EvolutionConfig(1.0, 0.001)
-        table = correlator_table(model, cfg.t_max, cfg.dt)
-        assert correlator_modes(model, table, cfg.dt) is None
         traj = integrate(spec, model, rho0, cfg)
-        assert traj.history_modes == 0 and traj.mode_error == 0.0
-        narrower = integrate(spec, Rectangular(5.0, 0.0, 400.0), rho0, cfg)
-        assert 0 < narrower.history_modes <= MAX_MODES
+        assert MAX_MODES < traj.history_modes < cfg.n_steps
+        assert 330 <= traj.history_modes <= 350
+        assert traj.mode_error <= 1e-12 * model.area
+        assert np.max(np.abs(traj.states - full_history_integrate(spec, model, rho0, cfg))) <= 1e-12
 
-    def test_failed_mode_check_falls_back(self):
-        # a table the modes cannot reproduce sends the run to full history
+    def test_mode_count_above_bound_raises(self, monkeypatch):
+        # eps * dt = 1e4 per step: about 5e5 nodes on a 100-step grid, refused
+        # before any node is built
+        def no_nodes(*args):
+            raise AssertionError("nodes built")
+
+        monkeypatch.setattr(spectra, "roots_legendre", no_nodes)
+        model = Rectangular(5.0, 0.0, 1e6)
+        table = correlator_table(model, 1.0, 0.01)
+        message = r"needs \d+ exponential modes on this grid, more than the 256 allowed"
+        with pytest.raises(IntegrationError, match=message):
+            correlator_modes(model, table, 0.01)
+        spec = build_three_level()
+        rho0 = initial_density(default_initial_state(), 3)
+        with pytest.raises(IntegrationError, match=message):
+            integrate(spec, model, rho0, EvolutionConfig(1.0, 0.01))
+
+    def test_failed_mode_check_raises(self):
+        # a table the modes cannot reproduce: the error names the miss
         model = Rectangular(5.0, 1.5, 1.0)
         table = correlator_table(model, 1.0, 0.01)
         assert correlator_modes(model, table, 0.01).error <= 1e-12 * model.area
         table[50] += 1e-9
-        assert correlator_modes(model, table, 0.01) is None
+        message = r"miss the correlator table by 1\.000e-09, above the tolerance 5\.000e-12"
+        with pytest.raises(IntegrationError, match=message):
+            correlator_modes(model, table, 0.01)
 
     def test_lorentzian_blow_up_aborts_with_step_info(self):
         spec = build_three_level()
@@ -322,7 +327,7 @@ class TestHistoryPaths:
 
 class TestBatch:
     def test_rows_match_one_row_integrate(self):
-        # mode rows with two mode counts, and full-history rows, in one batch
+        # rows of every family and of five mode counts in one batch
         spec = build_three_level()
         rho0 = initial_density(default_initial_state(), 3)
         cfg = EvolutionConfig(1.0, 0.002)
@@ -335,21 +340,31 @@ class TestBatch:
             Rectangular(9.0, 0.0, 1.0),
         ]
         batch = integrate_batch(spec, models, rho0, cfg)
-        assert [traj.history_modes > 0 for traj in batch] == [True, False, True, True, False, True]
-        assert len({traj.history_modes for traj in batch}) == 4
+        assert all(traj.history_modes > 0 for traj in batch)
+        assert len({traj.history_modes for traj in batch}) == 5
         for model, traj in zip(models, batch):
             alone = integrate(spec, model, rho0, cfg)
             assert traj.history_modes == alone.history_modes
             assert traj.mode_error == alone.mode_error
             assert np.array_equal(traj.times, alone.times)
-            if traj.history_modes:
-                assert np.array_equal(traj.states, alone.states)
-                assert traj.max_trace_drift == alone.max_trace_drift
-                assert traj.max_hermiticity_defect == alone.max_hermiticity_defect
-            else:
-                # the full history: a stacked product may round differently
-                scale = np.max(np.abs(alone.states))
-                assert np.max(np.abs(traj.states - alone.states)) <= 1e-13 * scale
+            assert np.array_equal(traj.states, alone.states)
+            assert traj.max_trace_drift == alone.max_trace_drift
+            assert traj.max_hermiticity_defect == alone.max_hermiticity_defect
+
+    def test_row_without_modes_keeps_its_neighbours(self):
+        spec = build_three_level()
+        rho0 = initial_density(default_initial_state(), 3)
+        cfg = EvolutionConfig(1.0, 0.01)
+        models = [Rectangular(5.0, 1.5, 1.0), Rectangular(5.0, 0.0, 1e6), PowerGaussian(5.0, -1.0, 2.0)]
+        first, failed, last = integrate_batch(spec, models, rho0, cfg)
+        assert isinstance(failed, IntegrationError)
+        with pytest.raises(IntegrationError) as info:
+            integrate(spec, models[1], rho0, cfg)
+        assert str(failed) == str(info.value)
+        for model, traj in ((models[0], first), (models[2], last)):
+            alone = integrate(spec, model, rho0, cfg)
+            assert np.array_equal(traj.states, alone.states)
+            assert traj.max_trace_drift == alone.max_trace_drift
 
     def test_failed_row_keeps_its_neighbours(self):
         spec = build_three_level()

@@ -145,16 +145,26 @@ class TestCorrelatorQuadrature:
             m = PowerGaussian(5.0, nu, 1.0)
             assert quad_correlator(m, 1e-6).real == pytest.approx(5.0, rel=1e-6)
 
-    @pytest.mark.parametrize("nu", [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("nu", [-1.95, -1.9, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
     @pytest.mark.parametrize("cutoff", [0.1, 1.0, 40.0])
     def test_power_gaussian_kummer_vs_quadrature(self, nu, cutoff):
         # Kummer closed form against the oscillatory-quadrature oracle,
-        # out to cutoff * tau = 400 where F has decayed to its power tail
+        # out to cutoff * tau = 400 where F has decayed to its power tail;
+        # y = 1.538 sits at the edge of the narrow window below nu = -1.9
+        # where the closed form goes wrong (next test)
         m = PowerGaussian(5.0, nu, cutoff)
-        for y in (1e-4, 0.05, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0, 400.0):
+        for y in (1e-4, 0.05, 0.5, 1.0, 1.538, 2.0, 5.0, 20.0, 100.0, 400.0):
             tau = y / cutoff
             diff = abs(correlator(m, tau) - quad_correlator(m, tau))
             assert diff <= 1e-10 * m.area, f"y={y}: diff {diff:.2e}"
+
+    @pytest.mark.xfail(strict=True, reason="scipy's hyp1f1(a, 1/2, z) is off by up to 1e-8 "
+                       "for a = 1 + nu/2 < 0.05 near z = -2.36")
+    @pytest.mark.parametrize("nu, y", [(-1.95, 1.53775), (-1.92, 1.53037)])
+    def test_power_gaussian_kummer_spike_near_divergent_ohmicity(self, nu, y):
+        m = PowerGaussian(5.0, nu, 1.0)
+        diff = abs(correlator(m, y) - quad_correlator(m, y))
+        assert diff <= 1e-10 * m.area, f"diff {diff:.2e}"
 
     def test_power_gaussian_near_divergent_ohmicity_is_finite(self):
         # nu -> -2 sends Gamma(1 + nu/2) to infinity; the area-normalized
