@@ -35,6 +35,22 @@ on the grid does not step and gets an IntegrationError.  The O(n_steps^2)
 sum over every stored step, which the mode path is tested against, is
 ``full_history_integrate`` in ``tests/oracles.py``.
 
+The step is linear in (rho_i, its derivative, the history term), and only
+the coupling changes with time, as ``V_t = Phi_t * V_0`` entrywise with
+``Phi_t[j, k] = exp(-i (E_j - E_k) t)``.  In the frame rotated by the new
+time's phases the coupling is the bare ``V_0``, so there the whole step
+(predictor, corrector passes, the new derivative, and ``V rho``, ``rho V``
+for the history) is one fixed matrix per row, set by ``V_0``, F(0), dt
+and the corrector count.  Rows of up to ``TABULATED_LEVELS`` = 8 levels
+tabulate it once, on the 3 M^2 basis inputs, and each step rotates its
+inputs in, applies it as one matrix-vector product and rotates the
+result out; larger rows, for which the 12 M^4 entries cost more than the
+M x M products, run the same step function on the interaction-picture
+coupling every step.  Either way the step returns the increment
+``rho_(i+1) - rho_i``, never ``rho_(i+1)`` itself, so the stored state is
+``rho_i`` plus an O(dt) term and no 1 + O(dt) entry rounds the state the
+same way on every step.
+
 Every array of the stepping loop has a leading batch axis over rows that
 share the system, the initial state and the grid and differ only in their
 spectral model (:func:`integrate_batch`; the points of an area or center
@@ -53,13 +69,17 @@ from itertools import groupby
 
 import numpy as np
 
-from .model import DensityMatrix, SystemSpec, interaction_coupling, require_finite
+from .model import DensityMatrix, SystemSpec, interaction_phases, require_finite
 from .spectra import ExpModes, IntegrationError, SpectralModel, correlator_modes, correlator_table
 
 __all__ = ["EvolutionConfig", "Trajectory", "IntegrationError", "integrate", "integrate_batch"]
 
 MAX_STEP = 0.01  # resolves the fastest phases by a wide margin
 TRACE_ABORT = 1e-4
+# Rows of up to this many levels step on a tabulated map of 12 M^4
+# entries: the largest M at which it beat the structured step for every
+# corrector count measured (M = 9 and 10 were mixed).
+TABULATED_LEVELS = 8
 
 
 @dataclass(frozen=True)
@@ -151,6 +171,69 @@ class _ModeHistory:
         return (s1 - s2).reshape(g, self.m, self.m)
 
 
+def _step(v, f_newest, s, d, hist, dt: float, iterations: int) -> tuple:
+    """One predictor-corrector step from the state ``s``, whose derivative
+    is ``d``, under the history term ``hist``, in a frame where the
+    coupling at the new time is ``v``; every argument but ``v`` may carry
+    leading batch axes.
+
+    Returns the increment ``nxt - s``, the derivative at ``nxt``, and
+    ``v nxt`` and ``nxt v`` for the history sums.  Each is linear in
+    (s, d, hist).
+    """
+    half = 0.5 * dt
+    f_newest_conj = np.conj(f_newest)
+
+    def derivative(left, right) -> np.ndarray:
+        """-[V, S1 - S2] from the history term and V rho, rho V."""
+        x = hist + (f_newest * left - f_newest_conj * right)
+        return x @ v - v @ x
+
+    delta = dt * d
+    for _ in range(iterations):
+        nxt = s + delta
+        delta = half * (d + derivative(v @ nxt, nxt @ v))
+    nxt = s + delta
+    left = v @ nxt
+    right = nxt @ v
+    return delta, derivative(left, right), left, right
+
+
+def _advance(coupling: np.ndarray, phases: np.ndarray, f_newest: np.ndarray,
+             cfg: EvolutionConfig):
+    """The step from grid point i to i + 1 in the interaction picture, as a
+    function of (i, s, d, hist) that returns what :func:`_step` returns.
+
+    Above ``TABULATED_LEVELS`` it is :func:`_step` with the coupling at
+    the new time.  Up to it, it is one matrix per row: in the frame
+    rotated by the new time's phases the coupling is the bare one, so the
+    step there is a fixed linear map, tabulated once on the 3 M^2 basis
+    inputs and applied as one matrix-vector product.
+    """
+    dt, iterations = cfg.dt, cfg.corrector_iterations
+    m = len(coupling)
+    if m > TABULATED_LEVELS:
+        def advance(i, s, d, hist):
+            return _step(coupling * phases[i + 1], f_newest, s, d, hist, dt, iterations)
+
+        return advance
+
+    k = m * m
+    basis = np.eye(3 * k, dtype=complex).reshape(3 * k, 3, m, m).transpose(1, 0, 2, 3)
+    columns = _step(coupling, f_newest[:, None], *basis, dt, iterations)
+    # maps[r] @ [s, d, hist] = [delta, d_next, left, right], each flattened
+    maps = np.stack(columns, axis=2).reshape(len(f_newest), 3 * k, 4 * k)
+    maps = np.ascontiguousarray(maps.transpose(0, 2, 1))
+
+    def advance(i, s, d, hist):
+        phase = phases[i + 1]
+        z = np.concatenate((s, d, hist), axis=1).reshape(-1, 3, m, m) * np.conj(phase)
+        out = (maps @ z.reshape(-1, 3 * k, 1)).reshape(-1, 4, m, m) * phase
+        return out[:, 0], out[:, 1], out[:, 2], out[:, 3]
+
+    return advance
+
+
 def integrate(
     spec: SystemSpec,
     model: SpectralModel,
@@ -226,36 +309,25 @@ def integrate_batch(
         histories.append((_ModeHistory(members, dt, m), slice(start, start + len(members))))
         start += len(members)
 
-    couplings = interaction_coupling(spec, times[:, None, None])
-
+    phases = interaction_phases(spec, times[:, None, None])
     # F(0) with its trapezoid weight: the newest term of S1 - S2, the
     # only one holding the state being corrected
     f_newest = half * np.array([tables[r][0] for r in rows])[:, None, None]
-    f_newest_conj = np.conj(f_newest)
-
-    def derivative(v, hist, left, right) -> np.ndarray:
-        """-[V, S1 - S2] from the history terms and V rho, rho V."""
-        x = hist + (f_newest * left - f_newest_conj * right)
-        return x @ v - v @ x
 
     states = np.empty((len(rows), n + 1, m, m), dtype=complex)
     states[:, 0] = rho0.entries
-    left = couplings[0] @ states[:, 0]
-    right = states[:, 0] @ couplings[0]
+    v = spec.coupling * phases[0]
+    left = v @ states[:, 0]
+    right = states[:, 0] @ v
     d_here = np.zeros((len(rows), m, m), dtype=complex)
     # a row that overflows has a non-finite state from then on, and its
     # steps from the first failed one on are discarded below
     with np.errstate(over="ignore", invalid="ignore"):
+        advance = _advance(spec.coupling, phases, f_newest, cfg)
         for i in range(n):
             hist = np.concatenate([h.push(left[rs], right[rs]) for h, rs in histories])
-            v = couplings[i + 1]
-            nxt = states[:, i] + dt * d_here
-            for _ in range(cfg.corrector_iterations):
-                nxt = states[:, i] + half * (d_here + derivative(v, hist, v @ nxt, nxt @ v))
-            states[:, i + 1] = nxt
-            left = v @ nxt
-            right = nxt @ v
-            d_here = derivative(v, hist, left, right)
+            delta, d_here, left, right = advance(i, states[:, i], d_here, hist)
+            states[:, i + 1] = states[:, i] + delta
 
         for j, r in enumerate(rows):
             later = states[j, 1:]

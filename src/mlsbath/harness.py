@@ -24,7 +24,9 @@ Unknown keys and non-finite numbers are rejected.  All sections except
     ohmicity = <float>  cutoff = <float>      (power-gaussian)
 
 ``[evolution]``   t_max, dt, corrector_iterations
-``[fit]``         t_lo, t_hi
+``[fit]``         t_lo, t_hi; a window that ends past the grid's last
+                  point, n_steps * dt, fails a ``rates`` run or a
+                  trajectory sweep point before any stepping
 ``[rpa]``         pole_shift, ladder, omega_max, scan_points
 ``[table]``       t_max >= dt > 0 (correlator table); omega_min < omega_max,
                   points >= 1 (spectrum table); an absent key takes its
@@ -451,9 +453,18 @@ def run_trajectory(scenario: ScenarioConfig) -> Trajectory:
     return integrate(spec, scenario.model, rho0, scenario.evolution)
 
 
+def _check_fit_window(scenario: ScenarioConfig) -> None:
+    """Raise the fit's ValueError before any stepping when the fit window
+    ends past the grid's last point, n_steps * dt, which falls short of
+    t_max when t_max is not a multiple of dt."""
+    evolution = scenario.evolution
+    scenario.window.check_sampled(0.0, evolution.n_steps * evolution.dt)
+
+
 def run_scenario(scenario: ScenarioConfig, out_dir: str | Path) -> tuple[Trajectory, RateSet]:
     """Integrate and fit ``scenario`` (from :func:`load_config`), and write
     ``trajectory.csv`` and ``rates.json`` into ``out_dir``."""
+    _check_fit_window(scenario)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     traj = run_trajectory(scenario)
@@ -564,7 +575,8 @@ def run_sweep(sweep: SweepSpec) -> list[dict]:
     :func:`rpa_record`).  Trajectory points run in batches of consecutive
     points that share a system: all of a ``spectral-area`` or
     ``spectral-center`` sweep in one batch, a ``levels`` sweep one batch
-    per M."""
+    per M.  A point whose fit window ends past its grid is an error row
+    and does not step."""
     rows = []
     trajectory_points = []  # (row, scenario) of each trajectory point
     for value in sweep.grid:
@@ -581,6 +593,7 @@ def run_sweep(sweep: SweepSpec) -> list[dict]:
                 result = delta_n_total(spec, point.model, point.state, point.rpa)
                 row.update(_row_columns(rpa_record(result)))
             else:
+                _check_fit_window(point)
                 trajectory_points.append((row, point))
         except Exception as exc:  # failures stay in-row, sweep continues
             row["status"] = f"error: {exc}"

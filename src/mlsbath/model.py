@@ -23,6 +23,7 @@ __all__ = [
     "default_initial_state",
     "initial_density",
     "interaction_coupling",
+    "interaction_phases",
 ]
 
 QUBIT_ENERGY = 0.5
@@ -225,6 +226,14 @@ def initial_density(state: QubitInitialState, n_levels: int) -> DensityMatrix:
     return DensityMatrix(rho)
 
 
+def interaction_phases(spec: SystemSpec, t: float | np.ndarray) -> np.ndarray:
+    """Phases ``exp(-1j*(E_n - E_r)*t)`` that carry the bare coupling into
+    the interaction picture at time t, shaped like
+    :func:`interaction_coupling`."""
+    gaps = spec.energies[:, None] - spec.energies[None, :]
+    return np.exp(-1j * gaps * t)
+
+
 def interaction_coupling(spec: SystemSpec, t: float | np.ndarray) -> np.ndarray:
     """Interaction-picture coupling matrix at time t, or a stack of them when
     t is an array that broadcasts against (M, M), such as shape (n, 1, 1).
@@ -232,5 +241,4 @@ def interaction_coupling(spec: SystemSpec, t: float | np.ndarray) -> np.ndarray:
     Entry (n, r) is ``coupling[n, r] * exp(-1j*(E_n - E_r)*t)``; each
     matrix is Hermitian because the bare matrix is real-symmetric.
     """
-    gaps = spec.energies[:, None] - spec.energies[None, :]
-    return spec.coupling * np.exp(-1j * gaps * t)
+    return spec.coupling * interaction_phases(spec, t)

@@ -34,6 +34,15 @@ class FitWindow:
         if not self.t_lo < self.t_hi:
             raise ValueError(f"need t_lo < t_hi, got [{self.t_lo}, {self.t_hi}]")
 
+    def check_sampled(self, t_first: float, t_last: float) -> None:
+        """Raise ValueError unless the window lies within the sampled range
+        [t_first, t_last]."""
+        if self.t_lo < t_first or self.t_hi > t_last:
+            raise ValueError(
+                f"window [{self.t_lo}, {self.t_hi}] outside sampled range "
+                f"[{t_first}, {t_last}]"
+            )
+
 
 @dataclass(frozen=True)
 class ExponentialFit:
@@ -73,11 +82,8 @@ def fit_exponential_decay(times, values, window: FitWindow) -> ExponentialFit:
     values = np.asarray(values, dtype=float)
     if times.shape != values.shape:
         raise ValueError("times and values must have matching shapes")
-    if times.size and (window.t_lo < times[0] or window.t_hi > times[-1]):
-        raise ValueError(
-            f"window [{window.t_lo}, {window.t_hi}] outside sampled range "
-            f"[{times[0]}, {times[-1]}]"
-        )
+    if times.size:
+        window.check_sampled(times[0], times[-1])
     mask = (times >= window.t_lo) & (times <= window.t_hi)
     t = times[mask]
     y = values[mask]

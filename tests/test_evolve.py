@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from mlsbath import spectra
+from mlsbath import evolve, spectra
 from mlsbath.evolve import EvolutionConfig, IntegrationError, integrate, integrate_batch
 from mlsbath.model import (
     SystemSpec,
@@ -13,6 +13,7 @@ from mlsbath.model import (
     default_initial_state,
     initial_density,
     interaction_coupling,
+    interaction_phases,
 )
 from mlsbath.spectra import (
     MAX_MODES,
@@ -265,6 +266,12 @@ class TestHistoryPaths:
             for levels, t_max in ((3, 2.5), (10, 1.0))
             for nu in (-1.5, -1.0, 0.0, 1.0, 2.0)
             for cutoff in (0.1, 1.0, 5.0)
+        ]
+        + [
+            # both sides of evolve.TABULATED_LEVELS
+            (levels, family(5.0, 2.0, width), EvolutionConfig(1.0, 0.002))
+            for levels in (8, 9)
+            for family, width in ((Rectangular, 6.0), (Lorentzian, 3.0))
         ],
     )
     def test_modes_match_full_history(self, levels, model, cfg):
@@ -323,6 +330,44 @@ class TestHistoryPaths:
         rho0 = initial_density(default_initial_state(), 3)
         with pytest.raises(IntegrationError, match="step"):
             integrate(spec, Lorentzian(2e6, 1.5, 1.0), rho0, EvolutionConfig(2.5, 0.01))
+
+
+class TestStepMap:
+    @pytest.mark.parametrize("levels", [2, 3, 5, 8])
+    @pytest.mark.parametrize("iterations", [1, 2, 3])
+    def test_tabulated_map_matches_structured_step(self, levels, iterations):
+        # two rows with their own F(0); inputs neither Hermitian nor traceless
+        rng = np.random.default_rng(levels * 10 + iterations)
+        coupling = np.triu(rng.normal(size=(levels, levels)), 1)
+        spec = SystemSpec(np.sort(rng.uniform(0.0, 5.0, levels)), coupling + coupling.T)
+        times = np.arange(6)[:, None, None] * 0.37
+        phases = interaction_phases(spec, times)
+        f_newest = 0.5 * 0.002 * (rng.normal(size=(2, 1, 1)) + 1j * rng.normal(size=(2, 1, 1)))
+        cfg = EvolutionConfig(1.0, 0.002, iterations)
+        advance = evolve._advance(spec.coupling, phases, f_newest, cfg)
+
+        def random_batch():
+            return rng.normal(size=(2, levels, levels)) + 1j * rng.normal(size=(2, levels, levels))
+
+        for i in range(5):
+            s, d, hist = random_batch(), random_batch(), random_batch()
+            v = spec.coupling * phases[i + 1]
+            want = evolve._step(v, f_newest, s, d, hist, cfg.dt, iterations)
+            got = advance(i, s, d, hist)
+            for w, g in zip(want, got):
+                assert g.shape == w.shape
+                assert np.max(np.abs(g - w)) <= 1e-14 * max(1.0, np.max(np.abs(w)))
+
+    def test_tabulated_path_matches_structured_over_long_run(self, monkeypatch):
+        # the rates deck's finest grid: 5 000 steps at dt = 0.0005
+        spec = build_three_level()
+        rho0 = initial_density(default_initial_state(), 3)
+        model = Rectangular(5.0, 4.0, 8.0)
+        cfg = EvolutionConfig(2.5, 0.0005)
+        tabulated = integrate(spec, model, rho0, cfg)
+        monkeypatch.setattr(evolve, "TABULATED_LEVELS", 0)
+        structured = integrate(spec, model, rho0, cfg)
+        assert np.max(np.abs(tabulated.states - structured.states)) <= 1e-14
 
 
 class TestBatch:

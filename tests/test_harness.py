@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mlsbath import harness
 from mlsbath.cli import main
 from mlsbath.evolve import Trajectory
 from mlsbath.harness import (
@@ -387,7 +388,36 @@ class TestConfigParsing:
         assert scenario.config_hash() == expected
 
 
+# t_max = 2.5 is not a multiple of dt = 0.003: the grid's 833 steps end at
+# 2.499, short of the default fit window's end
+SHORT_GRID_CONFIG = BASE_CONFIG.replace("t_max = 0.5", "t_max = 2.5").replace(
+    "dt = 0.005", "dt = 0.003").replace("t_lo = 0.1\nt_hi = 0.5", "t_lo = 1.0\nt_hi = 2.5")
+SHORT_GRID_ERROR = "window [1.0, 2.5] outside sampled range [0.0, 2.499]"
+
+
+def no_stepping(*args, **kwargs):
+    raise AssertionError("stepped")
+
+
 class TestRunScenario:
+    def test_window_past_grid_refused_before_stepping(self, tmp_path, monkeypatch):
+        scenario, _, _ = load_config(write(tmp_path, SHORT_GRID_CONFIG))
+        monkeypatch.setattr(harness, "integrate", no_stepping)
+        with pytest.raises(ValueError) as info:
+            run_scenario(scenario, tmp_path / "out")
+        assert str(info.value) == SHORT_GRID_ERROR
+        assert not (tmp_path / "out").exists()
+
+    def test_window_past_grid_cli(self, tmp_path, capsys):
+        # rates fails with the fit's message; evolve, which fits nothing, runs
+        cfg = write(tmp_path, SHORT_GRID_CONFIG)
+        assert main(["rates", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err == f"error: {SHORT_GRID_ERROR}\n"
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 0
+        lines = (tmp_path / "e" / "trajectory.csv").read_text().splitlines()
+        assert len(lines) == 1 + 834
+        assert float(lines[-1].split(",")[0]) == 833 * 0.003
+
     def test_outputs_and_determinism(self, tmp_path):
         scenario, _, _ = load_config(write(tmp_path, BASE_CONFIG))
         out1 = tmp_path / "o1"
@@ -497,6 +527,17 @@ class TestSweeps:
         for row in rows:
             assert re.fullmatch(r"error: the correlator needs \d+ exponential modes on this grid, "
                                 r"more than the 256 allowed \(.*\)", row["status"])
+
+    def test_window_past_grid_recorded_before_stepping(self, tmp_path, monkeypatch):
+        _, sweep, _ = load_config(
+            write(tmp_path, SHORT_GRID_CONFIG + "\n[sweep]\nkind = spectral-area\ngrid = 2 5\n")
+        )
+        monkeypatch.setattr(harness, "integrate_batch", no_stepping)
+        rows = run_sweep(sweep)
+        assert [row["status"] for row in rows] == [f"error: {SHORT_GRID_ERROR}"] * 2
+        assert [row["config_hash"] for row in rows] == [
+            _point_scenario(sweep.kind, sweep.base, value).config_hash() for value in sweep.grid
+        ]
 
     def test_sweep_csv_and_sidecar(self, tmp_path):
         sweep = self.make_sweep(tmp_path, grid="2 5")
