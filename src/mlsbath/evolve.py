@@ -37,19 +37,26 @@ sum over every stored step, which the mode path is tested against, is
 
 The step is linear in (rho_i, its derivative, the history term), and only
 the coupling changes with time, as ``V_t = Phi_t * V_0`` entrywise with
-``Phi_t[j, k] = exp(-i (E_j - E_k) t)``.  In the frame rotated by the new
-time's phases the coupling is the bare ``V_0``, so there the whole step
-(predictor, corrector passes, the new derivative, and ``V rho``, ``rho V``
-for the history) is one fixed matrix per row, set by ``V_0``, F(0), dt
-and the corrector count.  Rows of up to ``TABULATED_LEVELS`` = 8 levels
-tabulate it once, on the 3 M^2 basis inputs, and each step rotates its
-inputs in, applies it as one matrix-vector product and rotates the
-result out; larger rows, for which the 12 M^4 entries cost more than the
-M x M products, run the same step function on the interaction-picture
-coupling every step.  Either way the step returns the increment
-``rho_(i+1) - rho_i``, never ``rho_(i+1)`` itself, so the stored state is
-``rho_i`` plus an O(dt) term and no 1 + O(dt) entry rounds the state the
-same way on every step.
+``Phi_t[j, k] = exp(-i (E_j - E_k) t)``.  In the frame rotated by the
+phases of a block start i, the coupling at step i + j is ``Phi_j * V_0``
+whatever i is, so the next B steps are one fixed linear map per row.  The
+history term at step i + j splits in two: the old steps' part, which the
+mode sums at the block start carry forward,
+``sum_q c_q e^(lambda_q (j+1) dt) G_q``, and the block's own steps
+k <= j, ``dt F((j+1-k) dt) V rho_k`` with F from the same modes.  The
+map takes rho_i, its derivative and the B old-history terms to the
+increments ``rho_(i+j) - rho_i`` for j = 1..B, the derivative at i + B,
+and ``V rho``, ``rho V`` at the block's steps, which update the mode sums
+in one product per side.  Rows of up to ``TABULATED_LEVELS`` = 8 levels
+tabulate it once, on the (B + 2) M^2 basis inputs, and each block rotates
+its inputs in, applies it as one matrix-vector product and rotates the
+result out.  B
+(:func:`_block_steps`) balances the map's tabulation and its
+(3 B + 1)(B + 2) M^4 entries against the numpy calls it saves per step.
+Larger rows run the structured step function on the interaction-picture
+coupling every step.  Either way the stored state is ``rho_i`` plus an
+increment summed from the steps' increments, so no 1 + O(dt) entry rounds
+the state the same way on every step.
 
 Every array of the stepping loop has a leading batch axis over rows that
 share the system, the initial state and the grid and differ only in their
@@ -64,6 +71,7 @@ last step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -76,10 +84,18 @@ __all__ = ["EvolutionConfig", "Trajectory", "IntegrationError", "integrate", "in
 
 MAX_STEP = 0.01  # resolves the fastest phases by a wide margin
 TRACE_ABORT = 1e-4
-# Rows of up to this many levels step on a tabulated map of 12 M^4
-# entries: the largest M at which it beat the structured step for every
+# Rows of up to this many levels step on a tabulated block map: the
+# largest M at which its one-step form beat the structured step for every
 # corrector count measured (M = 9 and 10 were mixed).
 TABULATED_LEVELS = 8
+# Those rows step in blocks of B steps, the largest B whose map takes
+# B (B + 2) M^2 <= BLOCK_BUDGET basis steps to tabulate, at least one:
+# 12 at M = 2, 8 at 3, 5 at 4, 4 at 5, 3 at 6 and 2 at 7 and 8, none
+# more than a quarter slower than the fastest B measured on 2 500-step
+# runs, where single runs drift by +-30 % on the measuring host.  A
+# shorter run of n steps tabulates within n / 2 basis steps instead, so
+# that the map's cost stays below that of the steps it saves.
+BLOCK_BUDGET = 720
 
 
 @dataclass(frozen=True)
@@ -141,8 +157,8 @@ class Trajectory:
 
 
 class _ModeHistory:
-    """History terms of G rows from K exponential modes each: O(K M^2)
-    per row and step.
+    """History terms of G rows from K exponential modes each, one step at
+    a time: O(K M^2) per row and step.
 
     ``sums[g, 0]`` accumulates ``V rho`` against the modes of F,
     ``sums[g, 1]`` accumulates ``rho V`` against those of conj(F).
@@ -169,6 +185,53 @@ class _ModeHistory:
         s1 = self.coeffs @ self.sums[:, 0]
         s2 = self.coeffs_conj @ self.sums[:, 1]
         return (s1 - s2).reshape(g, self.m, self.m)
+
+
+class _BlockHistory:
+    """History terms of G rows from K exponential modes each, B steps at a
+    time: O(B K M^2) per row and block.
+
+    At the start i of a block, ``sums[g, 0, q]`` holds
+    ``sum_k w_k e^(lambda_q (i - k) dt) V_k rho_k`` over the steps k < i,
+    and ``sums[g, 1, q]`` the same for ``rho_k V_k`` against the modes of
+    conj(F).  The block map weighs every step of its block, the start
+    included, by dt, so the sums start at ``-dt/2`` times step 0's terms,
+    which leaves the trapezoid weight dt/2 on it.
+    """
+
+    def __init__(self, modes: list[ExpModes], dt: float, block: int, left, right):
+        g, k = len(modes), len(modes[0].rates)
+        rates = np.array([mode.rates for mode in modes])[:, None, None, :]
+        rates = np.concatenate([rates, np.conj(rates)], axis=1)  # (G, 2, 1, K)
+        coeffs = np.array([mode.coeffs for mode in modes])[:, None, None, :]
+        coeffs = np.concatenate([coeffs, -np.conj(coeffs)], axis=1)
+        lags = dt * np.arange(1, block + 1)[:, None]  # (B, 1)
+        # ahead[g, j] holds c_q e^(lambda_q (j + 1) dt) for the modes of F,
+        # then -conj of it for those of conj(F): one product with the sums
+        # gives the old steps' part of every history term of the block
+        self.ahead = (coeffs * np.exp(rates * lags)).transpose(0, 2, 1, 3).reshape(g, block, 2 * k)
+        # weights[g, side, q, l] = dt e^(lambda_q (B - l) dt) for step l of a block
+        rates = rates.transpose(0, 1, 3, 2)
+        self.weights = dt * np.exp(rates * lags[::-1, 0])
+        self.decay = np.exp(rates * (block * dt))
+        seed = -0.5 * dt * np.stack([left, right], axis=1).reshape(g, 2, 1, -1)
+        self.sums = np.repeat(seed, k, axis=2)
+
+    def correlator(self) -> np.ndarray:
+        """F((j + 1) dt) for the steps j of a block from the modes, (G, B)."""
+        return self.ahead[:, :, : self.ahead.shape[2] // 2].sum(axis=2)
+
+    def terms(self) -> np.ndarray:
+        """The old steps' part of the history term at each step of the
+        block, (G, B, M^2)."""
+        g, _, k, mm = self.sums.shape
+        return self.ahead @ self.sums.reshape(g, 2 * k, mm)
+
+    def push(self, sides: np.ndarray) -> None:
+        """Carry the sums past a block: ``sides`` holds ``V rho`` at the
+        block's B steps, then ``rho V`` at them, (G, 2 B, M, M)."""
+        g, _, _, mm = self.sums.shape
+        self.sums = self.decay * self.sums + self.weights @ sides.reshape(g, 2, -1, mm)
 
 
 def _step(v, f_newest, s, d, hist, dt: float, iterations: int) -> tuple:
@@ -199,39 +262,110 @@ def _step(v, f_newest, s, d, hist, dt: float, iterations: int) -> tuple:
     return delta, derivative(left, right), left, right
 
 
-def _advance(coupling: np.ndarray, phases: np.ndarray, f_newest: np.ndarray,
-             cfg: EvolutionConfig):
-    """The step from grid point i to i + 1 in the interaction picture, as a
-    function of (i, s, d, hist) that returns what :func:`_step` returns.
+def _block_map(spec: SystemSpec, f_newest: np.ndarray, f_ahead: np.ndarray, dt: float,
+               iterations: int):
+    """The B steps from a block start i, as a function of (phase, s, d,
+    hist): ``phase`` is Phi at step i, ``s`` and ``d`` are rho_i and its
+    derivative, and ``hist[:, j]`` is the old steps' part of the history
+    term at step j of the block (:meth:`_BlockHistory.terms`), for R rows
+    with ``f_newest`` (R, 1, 1) and ``f_ahead`` = F((j + 1) dt), (R, B).
 
-    Above ``TABULATED_LEVELS`` it is :func:`_step` with the coupling at
-    the new time.  Up to it, it is one matrix per row: in the frame
-    rotated by the new time's phases the coupling is the bare one, so the
-    step there is a fixed linear map, tabulated once on the 3 M^2 basis
-    inputs and applied as one matrix-vector product.
+    Returns ``out`` (R, 3 B + 1, M, M): ``out[:, j - 1]`` is
+    ``rho_(i+j) - rho_i`` for j = 1..B, ``out[:, B]`` the derivative at
+    step i + B, and ``out[:, B + 1:]`` holds ``V rho`` at steps i..i+B-1,
+    then ``rho V`` at them, for :meth:`_BlockHistory.push`.
+
+    In the frame rotated by Phi_i the coupling at step i + j is
+    ``Phi_j * V_0``, the same for every block, so the B steps are one fixed
+    linear map per row.  It is tabulated once, by :func:`_step` on the
+    (B + 2) M^2 basis inputs, and applied as one matrix-vector product.
+    The increments are sums of the steps' increments, so no column holds
+    a state minus the start state, whose cancellation drifts.
     """
-    dt, iterations = cfg.dt, cfg.corrector_iterations
+    rows, block = f_ahead.shape
+    coupling = spec.coupling
     m = len(coupling)
-    if m > TABULATED_LEVELS:
-        def advance(i, s, d, hist):
-            return _step(coupling * phases[i + 1], f_newest, s, d, hist, dt, iterations)
-
-        return advance
-
-    k = m * m
-    basis = np.eye(3 * k, dtype=complex).reshape(3 * k, 3, m, m).transpose(1, 0, 2, 3)
-    columns = _step(coupling, f_newest[:, None], *basis, dt, iterations)
-    # maps[r] @ [s, d, hist] = [delta, d_next, left, right], each flattened
-    maps = np.stack(columns, axis=2).reshape(len(f_newest), 3 * k, 4 * k)
+    width = (block + 2) * m * m
+    basis = np.eye(width, dtype=complex).reshape(width, block + 2, m, m)
+    s, d, hist = basis[:, 0], basis[:, 1], basis[:, 2:]
+    f_newest = f_newest[:, None]
+    f_ahead = dt * f_ahead[:, None, :, None, None]
+    couplings = coupling * interaction_phases(spec, dt * np.arange(1, block + 1)[:, None, None])
+    shape = (rows, width, m, m)
+    lefts, rights = [np.broadcast_to(coupling @ s, shape)], [np.broadcast_to(s @ coupling, shape)]
+    increments = [np.zeros(shape, dtype=complex)]
+    for j in range(block):
+        # the block's own steps 0..j, weighed by F((j + 1 - k) dt) dt
+        weight = f_ahead[:, :, j::-1]
+        own = (weight * np.stack(lefts, axis=2)).sum(axis=2)
+        own -= (np.conj(weight) * np.stack(rights, axis=2)).sum(axis=2)
+        delta, d, left, right = _step(couplings[j], f_newest, s + increments[-1], d,
+                                      hist[:, j] + own, dt, iterations)
+        increments.append(increments[-1] + delta)
+        lefts.append(left)
+        rights.append(right)
+    columns = increments[1:] + [d] + lefts[:-1] + rights[:-1]
+    maps = np.stack(columns, axis=2).reshape(rows, width, len(columns) * m * m)
     maps = np.ascontiguousarray(maps.transpose(0, 2, 1))
 
-    def advance(i, s, d, hist):
-        phase = phases[i + 1]
-        z = np.concatenate((s, d, hist), axis=1).reshape(-1, 3, m, m) * np.conj(phase)
-        out = (maps @ z.reshape(-1, 3 * k, 1)).reshape(-1, 4, m, m) * phase
-        return out[:, 0], out[:, 1], out[:, 2], out[:, 3]
+    def advance(phase, s, d, hist):
+        z = np.concatenate((s[:, None], d[:, None], hist.reshape(rows, block, m, m)), axis=1)
+        z = z * np.conj(phase)
+        return (maps @ z.reshape(rows, width, 1)).reshape(rows, -1, m, m) * phase
 
     return advance
+
+
+def _block_steps(m: int, n_steps: int) -> int:
+    """The block length B of a run of ``n_steps`` on ``m`` <=
+    ``TABULATED_LEVELS`` levels: the largest B >= 1 with B (B + 2) m^2 <=
+    min(``BLOCK_BUDGET``, n_steps / 2), which keeps B below n_steps."""
+    budget = min(BLOCK_BUDGET, n_steps // 2)
+    return max(1, math.isqrt(budget // (m * m) + 1) - 1)
+
+
+def _run_steps(spec: SystemSpec, groups: list, f_newest: np.ndarray, states: np.ndarray,
+               times: np.ndarray, cfg: EvolutionConfig) -> None:
+    """Fill ``states[:, 1:]`` one structured step at a time, with the
+    coupling of each new time in the interaction picture."""
+    m = spec.n_levels
+    histories = [(_ModeHistory(members, cfg.dt, m), rs) for members, rs in groups]
+    phases = interaction_phases(spec, times[:, None, None])
+    v = spec.coupling * phases[0]
+    left = v @ states[:, 0]
+    right = states[:, 0] @ v
+    d_here = np.zeros_like(left)
+    for i in range(len(times) - 1):
+        hist = np.concatenate([h.push(left[rs], right[rs]) for h, rs in histories])
+        delta, d_here, left, right = _step(spec.coupling * phases[i + 1], f_newest, states[:, i],
+                                           d_here, hist, cfg.dt, cfg.corrector_iterations)
+        states[:, i + 1] = states[:, i] + delta
+
+
+def _run_blocks(spec: SystemSpec, groups: list, f_newest: np.ndarray, states: np.ndarray,
+                times: np.ndarray, cfg: EvolutionConfig) -> None:
+    """Fill ``states[:, 1:]`` B steps at a time on the tabulated block map
+    of each row; the last block may be partial."""
+    n = len(times) - 1
+    m = spec.n_levels
+    block = _block_steps(m, n)
+    left = spec.coupling @ states[:, 0]
+    right = states[:, 0] @ spec.coupling
+    histories = [(_BlockHistory(members, cfg.dt, block, left[rs], right[rs]), rs)
+                 for members, rs in groups]
+    f_ahead = np.concatenate([h.correlator() for h, _ in histories])
+    advance = _block_map(spec, f_newest, f_ahead, cfg.dt, cfg.corrector_iterations)
+    starts = range(0, n, block)
+    phases = interaction_phases(spec, times[:n:block, None, None])
+    d_here = np.zeros_like(left)
+    for i, phase in zip(starts, phases):
+        hist = np.concatenate([h.terms() for h, _ in histories])
+        out = advance(phase, states[:, i], d_here, hist)
+        stop = min(i + block, n)
+        states[:, i + 1 : stop + 1] = states[:, i, None] + out[:, : stop - i]
+        d_here = out[:, block]
+        for h, rs in histories:
+            h.push(out[rs, block + 1 :])
 
 
 def integrate(
@@ -303,31 +437,23 @@ def integrate_batch(
     rows = sorted(modes, key=count.__getitem__)
     if not rows:
         return results
-    histories, start = [], 0  # (history, its slice of rows)
+    groups, start = [], 0  # (the rows' modes, their slice of rows)
     for _, members in groupby(rows, key=count.__getitem__):
         members = [modes[r] for r in members]
-        histories.append((_ModeHistory(members, dt, m), slice(start, start + len(members))))
+        groups.append((members, slice(start, start + len(members))))
         start += len(members)
 
-    phases = interaction_phases(spec, times[:, None, None])
     # F(0) with its trapezoid weight: the newest term of S1 - S2, the
     # only one holding the state being corrected
     f_newest = half * np.array([tables[r][0] for r in rows])[:, None, None]
 
     states = np.empty((len(rows), n + 1, m, m), dtype=complex)
     states[:, 0] = rho0.entries
-    v = spec.coupling * phases[0]
-    left = v @ states[:, 0]
-    right = states[:, 0] @ v
-    d_here = np.zeros((len(rows), m, m), dtype=complex)
+    run = _run_blocks if m <= TABULATED_LEVELS else _run_steps
     # a row that overflows has a non-finite state from then on, and its
     # steps from the first failed one on are discarded below
     with np.errstate(over="ignore", invalid="ignore"):
-        advance = _advance(spec.coupling, phases, f_newest, cfg)
-        for i in range(n):
-            hist = np.concatenate([h.push(left[rs], right[rs]) for h, rs in histories])
-            delta, d_here, left, right = advance(i, states[:, i], d_here, hist)
-            states[:, i + 1] = states[:, i] + delta
+        run(spec, groups, f_newest, states, times, cfg)
 
         for j, r in enumerate(rows):
             later = states[j, 1:]

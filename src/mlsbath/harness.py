@@ -481,8 +481,10 @@ def write_columns_csv(path: str | Path, header: list[str], columns: list) -> Non
     row_format = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
+        # tolist() hands '%' Python floats rather than numpy scalars, one row
+        # at a time: a whole table of Python floats costs 2.5 MB at 5001 x 16
         for row in np.column_stack(columns):
-            fh.write(row_format % tuple(row))
+            fh.write(row_format % tuple(row.tolist()))
 
 
 def write_json(path: str | Path, payload: dict) -> None:

@@ -336,27 +336,60 @@ class TestStepMap:
     @pytest.mark.parametrize("levels", [2, 3, 5, 8])
     @pytest.mark.parametrize("iterations", [1, 2, 3])
     def test_tabulated_map_matches_structured_step(self, levels, iterations):
-        # two rows with their own F(0); inputs neither Hermitian nor traceless
+        # one block from a start at t0 against B structured steps in the
+        # interaction picture; two rows with their own F; inputs neither
+        # Hermitian nor traceless
         rng = np.random.default_rng(levels * 10 + iterations)
         coupling = np.triu(rng.normal(size=(levels, levels)), 1)
         spec = SystemSpec(np.sort(rng.uniform(0.0, 5.0, levels)), coupling + coupling.T)
-        times = np.arange(6)[:, None, None] * 0.37
-        phases = interaction_phases(spec, times)
-        f_newest = 0.5 * 0.002 * (rng.normal(size=(2, 1, 1)) + 1j * rng.normal(size=(2, 1, 1)))
-        cfg = EvolutionConfig(1.0, 0.002, iterations)
-        advance = evolve._advance(spec.coupling, phases, f_newest, cfg)
+        dt, t0 = 0.002, 1.11
+        block = evolve._block_steps(levels, 2 * evolve.BLOCK_BUDGET)
 
-        def random_batch():
-            return rng.normal(size=(2, levels, levels)) + 1j * rng.normal(size=(2, levels, levels))
+        def random_complex(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
-        for i in range(5):
-            s, d, hist = random_batch(), random_batch(), random_batch()
-            v = spec.coupling * phases[i + 1]
-            want = evolve._step(v, f_newest, s, d, hist, cfg.dt, iterations)
-            got = advance(i, s, d, hist)
-            for w, g in zip(want, got):
-                assert g.shape == w.shape
-                assert np.max(np.abs(g - w)) <= 1e-14 * max(1.0, np.max(np.abs(w)))
+        f_newest = 0.5 * dt * random_complex(2, 1, 1)
+        f_ahead = random_complex(2, block)
+        s, d = random_complex(2, levels, levels), random_complex(2, levels, levels)
+        hist = random_complex(2, block, levels, levels)
+        advance = evolve._block_map(spec, f_newest, f_ahead, dt, iterations)
+        got = advance(interaction_phases(spec, t0), s, d, hist)
+
+        v = interaction_coupling(spec, t0)
+        lefts, rights, increments = [v @ s], [s @ v], [np.zeros_like(s)]
+        for j in range(block):
+            weights = [dt * f_ahead[:, j - k, None, None] for k in range(j + 1)]
+            own = sum(w * x for w, x in zip(weights, lefts))
+            own = own - sum(np.conj(w) * x for w, x in zip(weights, rights))
+            v = interaction_coupling(spec, t0 + (j + 1) * dt)
+            delta, d, left, right = evolve._step(v, f_newest, s + increments[-1], d,
+                                                 hist[:, j] + own, dt, iterations)
+            increments.append(increments[-1] + delta)
+            lefts.append(left)
+            rights.append(right)
+        want = np.stack(increments[1:] + [d] + lefts[:-1] + rights[:-1], axis=1)
+        assert got.shape == want.shape
+        for k in range(want.shape[1]):
+            w, g = want[:, k], got[:, k]
+            assert np.max(np.abs(g - w)) <= 1e-14 * max(1.0, np.max(np.abs(w)))
+
+    @pytest.mark.parametrize("levels", [3, 5])
+    @pytest.mark.parametrize("steps", [1, 5, 1440, 1443])
+    def test_block_path_matches_structured_at_block_edges(self, levels, steps, monkeypatch):
+        # n = 1 and 5 (B = 1), and n a multiple of B or not (B = 8 at 3
+        # levels, 4 at 5): the last block's first steps serve a partial block
+        spec = build_three_level() if levels == 3 else build_multilevel(levels, delta=5.0)
+        rho0 = initial_density(default_initial_state(), levels)
+        model = Rectangular(5.0, 4.0, 10.0)
+        cfg = EvolutionConfig(steps * 0.002, 0.002)
+        assert cfg.n_steps == steps
+        assert (evolve._block_steps(levels, steps) > 1) == (steps > 5)
+        blocks = integrate(spec, model, rho0, cfg)
+        monkeypatch.setattr(evolve, "TABULATED_LEVELS", 0)
+        structured = integrate(spec, model, rho0, cfg)
+        assert blocks.history_modes > 1
+        assert np.array_equal(blocks.states[0], rho0.entries)
+        assert np.max(np.abs(blocks.states - structured.states)) <= 1e-14
 
     def test_tabulated_path_matches_structured_over_long_run(self, monkeypatch):
         # the rates deck's finest grid: 5 000 steps at dt = 0.0005
@@ -437,6 +470,32 @@ class TestBatch:
         )
         assert good.history_modes > 0
         assert re.fullmatch(r"non-finite state at step \d+ \(t = \S+\)", str(failed))
+
+    def test_five_level_rows_match_one_row_integrate(self):
+        # block map rows (B = 4) of four mode counts beside a failing row
+        spec = build_multilevel(5, delta=5.0)
+        rho0 = initial_density(default_initial_state(), 5)
+        cfg = EvolutionConfig(2.5, 0.002)
+        assert evolve._block_steps(5, cfg.n_steps) == 4
+        models = [
+            Rectangular(5.0, 1.5, 1.0),
+            Lorentzian(5.0, 1.5, 1.0),
+            Rectangular(1e150, 0.0, 100.0),
+            Rectangular(5.0, 4.0, 10.0),
+            PowerGaussian(5.0, 0.0, 2.0),
+        ]
+        batch = integrate_batch(spec, models, rho0, cfg)
+        with pytest.raises(IntegrationError) as info:
+            integrate(spec, models[2], rho0, cfg)
+        assert str(batch[2]) == str(info.value)
+        kept = [(model, traj) for model, traj in zip(models, batch) if model is not models[2]]
+        assert len({traj.history_modes for _, traj in kept}) == 4
+        for model, traj in kept:
+            alone = integrate(spec, model, rho0, cfg)
+            assert traj.history_modes == alone.history_modes
+            assert np.array_equal(traj.states, alone.states)
+            assert traj.max_trace_drift == alone.max_trace_drift
+            assert traj.max_hermiticity_defect == alone.max_hermiticity_defect
 
     def test_empty_batch(self):
         spec = build_three_level()
