@@ -231,7 +231,11 @@ class _BlockHistory:
         """Carry the sums past a block: ``sides`` holds ``V rho`` at the
         block's B steps, then ``rho V`` at them, (G, 2 B, M, M)."""
         g, _, _, mm = self.sums.shape
-        self.sums = self.decay * self.sums + self.weights @ sides.reshape(g, 2, -1, mm)
+        sides = sides.reshape(g, 2, -1, mm)
+        # at B = 1 the product is an outer product, which a broadcast
+        # multiply forms without the cost of a BLAS call
+        fresh = self.weights * sides if sides.shape[2] == 1 else self.weights @ sides
+        self.sums = self.decay * self.sums + fresh
 
 
 def _step(v, f_newest, s, d, hist, dt: float, iterations: int) -> tuple:
