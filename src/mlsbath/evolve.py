@@ -25,38 +25,37 @@ trapezoidal corrector iterations.  The kernel action factorizes as ``-[V_t, S1(t
 ``S1 = integral F V rho`` and ``S2 = integral conj(F) rho V``.
 
 Only the newest trapezoid term of S1 - S2 depends on the state being
-corrected; the rest, the history term, is formed once per step from the
-correlator's exponential modes ``F(tau) = sum_q c_q e^(lambda_q tau)`` on
-the grid (:func:`~mlsbath.spectra.correlator_modes`, every spectral
-family): K running sums ``G_q <- e^(lambda_q dt) (G_q + w_k V_k rho_k)``
-give the history term as ``sum_q c_q G_q``, O(K M^2) per step and
-O(n_steps) in total.  A row whose correlator has no modes within bounds
-on the grid does not step and gets an IntegrationError.  The O(n_steps^2)
-sum over every stored step, which the mode path is tested against, is
+corrected; the rest, the history term, comes from the correlator's
+exponential modes ``F(tau) = sum_q c_q e^(lambda_q tau)`` on the grid
+(:func:`~mlsbath.spectra.correlator_modes`, every spectral family): K
+running sums ``G_q <- e^(lambda_q dt) (G_q + w_k V_k rho_k)`` give the
+history term as ``sum_q c_q G_q``, O(K M^2) per step and O(n_steps) in
+total.  A row whose correlator has no modes within bounds on the grid
+does not step and gets an IntegrationError.  The O(n_steps^2) sum over
+every stored step, which the mode path is tested against, is
 ``full_history_integrate`` in ``tests/oracles.py``.
 
-The step is linear in (rho_i, its derivative, the history term), and only
-the coupling changes with time, as ``V_t = Phi_t * V_0`` entrywise with
-``Phi_t[j, k] = exp(-i (E_j - E_k) t)``.  In the frame rotated by the
-phases of a block start i, the coupling at step i + j is ``Phi_j * V_0``
-whatever i is, so the next B steps are one fixed linear map per row.  The
-history term at step i + j splits in two: the old steps' part, which the
-mode sums at the block start carry forward,
+The integrator advances B steps at a time (:func:`_block`).  The history
+term at step i + j of a block from i splits in two: the old steps' part,
+which the mode sums at the block start carry forward,
 ``sum_q c_q e^(lambda_q (j+1) dt) G_q``, and the block's own steps
-k <= j, ``dt F((j+1-k) dt) V rho_k`` with F from the same modes.  The
-map takes rho_i, its derivative and the B old-history terms to the
-increments ``rho_(i+j) - rho_i`` for j = 1..B, the derivative at i + B,
-and ``V rho``, ``rho V`` at the block's steps, which update the mode sums
-in one product per side.  Rows of up to ``TABULATED_LEVELS`` = 8 levels
-tabulate it once, on the (B + 2) M^2 basis inputs, and each block rotates
-its inputs in, applies it as one matrix-vector product and rotates the
-result out.  B
-(:func:`_block_steps`) balances the map's tabulation and its
-(3 B + 1)(B + 2) M^4 entries against the numpy calls it saves per step.
-Larger rows run the structured step function on the interaction-picture
-coupling every step.  Either way the stored state is ``rho_i`` plus an
-increment summed from the steps' increments, so no 1 + O(dt) entry rounds
-the state the same way on every step.
+k <= j, ``dt F((j+1-k) dt) V rho_k`` with F from the same modes; ``V rho``
+and ``rho V`` at the block's steps then carry the mode sums past the block
+in one product per side.  The stored state is ``rho_i`` plus an increment
+summed from the steps' increments, so no 1 + O(dt) entry rounds the state
+the same way on every step.
+
+A block is linear in (rho_i, its derivative, the old-history terms), and
+only the coupling changes with time, as ``V_t = Phi_t * V_0`` entrywise
+with ``Phi_t[j, k] = exp(-i (E_j - E_k) t)``.  In the frame rotated by the
+phases of a block start i, the coupling at step i + j is ``Phi_j * V_0``
+whatever i is, so a block is one fixed linear map per row.  Rows of up to
+``TABULATED_LEVELS`` = 8 levels tabulate it once, on the (B + 2) M^2 basis
+inputs, and apply it as one matrix-vector product per block, B
+(:func:`_block_steps`) balancing the tabulation and the map's
+(3 B + 1)(B + 2) M^4 entries against the numpy calls it saves.  Larger
+rows run the block's steps on the state itself, ``UNTABULATED_BLOCK`` = 8
+at a time, with the couplings ``Phi_i * Phi_j * V_0`` (:func:`_block_map`).
 
 Every array of the stepping loop has a leading batch axis over rows that
 share the system, the initial state and the grid and differ only in their
@@ -85,8 +84,9 @@ __all__ = ["EvolutionConfig", "Trajectory", "IntegrationError", "integrate", "in
 MAX_STEP = 0.01  # resolves the fastest phases by a wide margin
 TRACE_ABORT = 1e-4
 # Rows of up to this many levels step on a tabulated block map: the
-# largest M at which its one-step form beat the structured step for every
-# corrector count measured (M = 9 and 10 were mixed).
+# largest M at which it beat the untabulated blocks for each family
+# measured on 1 250-step runs (at M = 9 the 114-mode power-Gaussian was
+# 1.5 times slower tabulated).
 TABULATED_LEVELS = 8
 # Those rows step in blocks of B steps, the largest B whose map takes
 # B (B + 2) M^2 <= BLOCK_BUDGET basis steps to tabulate, at least one:
@@ -96,6 +96,10 @@ TABULATED_LEVELS = 8
 # shorter run of n steps tabulates within n / 2 basis steps instead, so
 # that the map's cost stays below that of the steps it saves.
 BLOCK_BUDGET = 720
+# Larger rows step the state itself in blocks of this many steps: 16 made
+# the M = 40 Lorentzian a quarter slower on one BLAS thread, and 4 gave up
+# most of the gain on many-mode power-Gaussian rows.
+UNTABULATED_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -156,37 +160,6 @@ class Trajectory:
         return 1.0 - np.real(self.states[:, 0, 0] + self.states[:, 1, 1])
 
 
-class _ModeHistory:
-    """History terms of G rows from K exponential modes each, one step at
-    a time: O(K M^2) per row and step.
-
-    ``sums[g, 0]`` accumulates ``V rho`` against the modes of F,
-    ``sums[g, 1]`` accumulates ``rho V`` against those of conj(F).
-    """
-
-    def __init__(self, modes: list[ExpModes], dt: float, m: int):
-        decay = np.exp(np.array([mode.rates for mode in modes]) * dt)
-        self.decay = np.stack([decay, np.conj(decay)], axis=1)[..., None]
-        self.coeffs = np.array([mode.coeffs for mode in modes])[:, None, :]
-        self.coeffs_conj = np.conj(self.coeffs)
-        self.sums = np.zeros((len(modes), 2, decay.shape[1], m * m), dtype=complex)
-        self.m = m
-        self.dt = dt
-        self.weight = 0.5 * dt
-
-    def push(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Take ``V rho`` and ``rho V`` of the newest final states; return
-        the next step's history terms."""
-        g = len(left)
-        self.sums[:, 0] += self.weight * left.reshape(g, 1, -1)
-        self.sums[:, 1] += self.weight * right.reshape(g, 1, -1)
-        self.sums *= self.decay
-        self.weight = self.dt
-        s1 = self.coeffs @ self.sums[:, 0]
-        s2 = self.coeffs_conj @ self.sums[:, 1]
-        return (s1 - s2).reshape(g, self.m, self.m)
-
-
 class _BlockHistory:
     """History terms of G rows from K exponential modes each, B steps at a
     time: O(B K M^2) per row and block.
@@ -194,7 +167,7 @@ class _BlockHistory:
     At the start i of a block, ``sums[g, 0, q]`` holds
     ``sum_k w_k e^(lambda_q (i - k) dt) V_k rho_k`` over the steps k < i,
     and ``sums[g, 1, q]`` the same for ``rho_k V_k`` against the modes of
-    conj(F).  The block map weighs every step of its block, the start
+    conj(F).  :func:`_block` weighs every step of its block, the start
     included, by dt, so the sums start at ``-dt/2`` times step 0's terms,
     which leaves the trapezoid weight dt/2 on it.
     """
@@ -266,54 +239,88 @@ def _step(v, f_newest, s, d, hist, dt: float, iterations: int) -> tuple:
     return delta, derivative(left, right), left, right
 
 
+def _block(coupling, couplings, f_newest, f_ahead, s, d, hist, dt: float,
+           iterations: int) -> np.ndarray:
+    """The B = ``len(couplings)`` steps from a block start i, in a frame
+    where the coupling is ``coupling`` at step i and ``couplings[j]`` at
+    step i + j + 1.  ``s`` and ``d`` are rho_i and its derivative,
+    ``hist[..., j, :, :]`` is the old steps' part of the history term at
+    step j of the block (:meth:`_BlockHistory.terms`) and
+    ``f_ahead[..., j, :, :]`` is F((j + 1) dt); every argument but the
+    couplings may carry leading batch axes.
+
+    Returns ``out`` (..., 3 B + 1, M, M): ``out[..., j - 1, :, :]`` is
+    ``rho_(i+j) - rho_i`` for j = 1..B, ``out[..., B, :, :]`` the
+    derivative at step i + B, and ``out[..., B + 1:, :, :]`` holds
+    ``V rho`` at steps i..i+B-1, then ``rho V`` at them, for
+    :meth:`_BlockHistory.push`.  Each column is linear in (s, d, hist).
+    """
+    block, m = couplings.shape[:2]
+    batch = np.broadcast_shapes(s.shape[:-2], f_newest.shape[:-2])
+    out = np.empty(batch + (3 * block + 1, m, m), dtype=complex)
+    increments = out[..., :block, :, :]
+    lefts = out[..., block + 1 : 2 * block + 1, :, :]
+    rights = out[..., 2 * block + 1 :, :, :]
+    lefts[..., 0, :, :] = coupling @ s
+    rights[..., 0, :, :] = s @ coupling
+    weights = dt * f_ahead
+    weights_conj = np.conj(weights)
+    here = s
+    for j in range(block):
+        # the block's own steps 0..j, weighed by F((j + 1 - k) dt) dt
+        own = (weights[..., j::-1, :, :] * lefts[..., : j + 1, :, :]).sum(axis=-3)
+        own -= (weights_conj[..., j::-1, :, :] * rights[..., : j + 1, :, :]).sum(axis=-3)
+        own += hist[..., j, :, :]
+        delta, d, left, right = _step(couplings[j], f_newest, here, d, own, dt, iterations)
+        if j:
+            delta += increments[..., j - 1, :, :]
+        increments[..., j, :, :] = delta
+        if j + 1 < block:
+            lefts[..., j + 1, :, :] = left
+            rights[..., j + 1, :, :] = right
+        here = s + delta
+    out[..., block, :, :] = d
+    return out
+
+
 def _block_map(spec: SystemSpec, f_newest: np.ndarray, f_ahead: np.ndarray, dt: float,
                iterations: int):
-    """The B steps from a block start i, as a function of (phase, s, d,
-    hist): ``phase`` is Phi at step i, ``s`` and ``d`` are rho_i and its
-    derivative, and ``hist[:, j]`` is the old steps' part of the history
-    term at step j of the block (:meth:`_BlockHistory.terms`), for R rows
-    with ``f_newest`` (R, 1, 1) and ``f_ahead`` = F((j + 1) dt), (R, B).
-
-    Returns ``out`` (R, 3 B + 1, M, M): ``out[:, j - 1]`` is
-    ``rho_(i+j) - rho_i`` for j = 1..B, ``out[:, B]`` the derivative at
-    step i + B, and ``out[:, B + 1:]`` holds ``V rho`` at steps i..i+B-1,
-    then ``rho V`` at them, for :meth:`_BlockHistory.push`.
+    """The B steps of :func:`_block` from a block start i, as a function
+    ``advance(phase, s, d, hist)`` of R rows with ``f_newest`` (R, 1, 1)
+    and ``f_ahead`` = F((j + 1) dt), (R, B): ``phase`` is Phi at step i,
+    ``s`` and ``d`` are rho_i and its derivative (R, M, M), and ``hist``
+    is (R, B, M, M).  It returns :func:`_block`'s (R, 3 B + 1, M, M)
+    columns in the interaction picture.
 
     In the frame rotated by Phi_i the coupling at step i + j is
     ``Phi_j * V_0``, the same for every block, so the B steps are one fixed
-    linear map per row.  It is tabulated once, by :func:`_step` on the
-    (B + 2) M^2 basis inputs, and applied as one matrix-vector product.
-    The increments are sums of the steps' increments, so no column holds
-    a state minus the start state, whose cancellation drifts.
+    linear map per row.  Rows of up to ``TABULATED_LEVELS`` levels tabulate
+    it once, by :func:`_block` on the (B + 2) M^2 basis inputs, and apply
+    it as one matrix-vector product between rotations in and out.  Larger
+    rows run :func:`_block` on the state itself, with the block's
+    interaction-picture couplings ``Phi_i * Phi_j * V_0``.
     """
     rows, block = f_ahead.shape
     coupling = spec.coupling
     m = len(coupling)
+    couplings = coupling * interaction_phases(spec, dt * np.arange(1, block + 1)[:, None, None])
+    if m > TABULATED_LEVELS:
+        f_ahead = f_ahead[:, :, None, None]
+
+        def advance(phase, s, d, hist):
+            return _block(coupling * phase, couplings * phase, f_newest, f_ahead, s, d, hist,
+                          dt, iterations)
+
+        return advance
+
     width = (block + 2) * m * m
     basis = np.eye(width, dtype=complex).reshape(width, block + 2, m, m)
-    s, d, hist = basis[:, 0], basis[:, 1], basis[:, 2:]
-    f_newest = f_newest[:, None]
-    f_ahead = dt * f_ahead[:, None, :, None, None]
-    couplings = coupling * interaction_phases(spec, dt * np.arange(1, block + 1)[:, None, None])
-    shape = (rows, width, m, m)
-    lefts, rights = [np.broadcast_to(coupling @ s, shape)], [np.broadcast_to(s @ coupling, shape)]
-    increments = [np.zeros(shape, dtype=complex)]
-    for j in range(block):
-        # the block's own steps 0..j, weighed by F((j + 1 - k) dt) dt
-        weight = f_ahead[:, :, j::-1]
-        own = (weight * np.stack(lefts, axis=2)).sum(axis=2)
-        own -= (np.conj(weight) * np.stack(rights, axis=2)).sum(axis=2)
-        delta, d, left, right = _step(couplings[j], f_newest, s + increments[-1], d,
-                                      hist[:, j] + own, dt, iterations)
-        increments.append(increments[-1] + delta)
-        lefts.append(left)
-        rights.append(right)
-    columns = increments[1:] + [d] + lefts[:-1] + rights[:-1]
-    maps = np.stack(columns, axis=2).reshape(rows, width, len(columns) * m * m)
-    maps = np.ascontiguousarray(maps.transpose(0, 2, 1))
+    out = _block(coupling, couplings, f_newest[:, None], f_ahead[:, None, :, None, None],
+                 basis[:, 0], basis[:, 1], basis[:, 2:], dt, iterations)
+    maps = np.ascontiguousarray(out.reshape(rows, width, -1).transpose(0, 2, 1))
 
     def advance(phase, s, d, hist):
-        z = np.concatenate((s[:, None], d[:, None], hist.reshape(rows, block, m, m)), axis=1)
+        z = np.concatenate((s[:, None], d[:, None], hist), axis=1)
         z = z * np.conj(phase)
         return (maps @ z.reshape(rows, width, 1)).reshape(rows, -1, m, m) * phase
 
@@ -321,35 +328,20 @@ def _block_map(spec: SystemSpec, f_newest: np.ndarray, f_ahead: np.ndarray, dt: 
 
 
 def _block_steps(m: int, n_steps: int) -> int:
-    """The block length B of a run of ``n_steps`` on ``m`` <=
-    ``TABULATED_LEVELS`` levels: the largest B >= 1 with B (B + 2) m^2 <=
-    min(``BLOCK_BUDGET``, n_steps / 2), which keeps B below n_steps."""
+    """The block length B of a run of ``n_steps`` on ``m`` levels: above
+    ``TABULATED_LEVELS``, ``UNTABULATED_BLOCK`` but at most n_steps;
+    otherwise the largest B >= 1 with B (B + 2) m^2 <= min(``BLOCK_BUDGET``,
+    n_steps / 2), which keeps B below n_steps."""
+    if m > TABULATED_LEVELS:
+        return min(UNTABULATED_BLOCK, n_steps)
     budget = min(BLOCK_BUDGET, n_steps // 2)
     return max(1, math.isqrt(budget // (m * m) + 1) - 1)
 
 
-def _run_steps(spec: SystemSpec, groups: list, f_newest: np.ndarray, states: np.ndarray,
-               times: np.ndarray, cfg: EvolutionConfig) -> None:
-    """Fill ``states[:, 1:]`` one structured step at a time, with the
-    coupling of each new time in the interaction picture."""
-    m = spec.n_levels
-    histories = [(_ModeHistory(members, cfg.dt, m), rs) for members, rs in groups]
-    phases = interaction_phases(spec, times[:, None, None])
-    v = spec.coupling * phases[0]
-    left = v @ states[:, 0]
-    right = states[:, 0] @ v
-    d_here = np.zeros_like(left)
-    for i in range(len(times) - 1):
-        hist = np.concatenate([h.push(left[rs], right[rs]) for h, rs in histories])
-        delta, d_here, left, right = _step(spec.coupling * phases[i + 1], f_newest, states[:, i],
-                                           d_here, hist, cfg.dt, cfg.corrector_iterations)
-        states[:, i + 1] = states[:, i] + delta
-
-
 def _run_blocks(spec: SystemSpec, groups: list, f_newest: np.ndarray, states: np.ndarray,
                 times: np.ndarray, cfg: EvolutionConfig) -> None:
-    """Fill ``states[:, 1:]`` B steps at a time on the tabulated block map
-    of each row; the last block may be partial."""
+    """Fill ``states[:, 1:]`` B steps at a time by :func:`_block_map`; the
+    last block may be partial."""
     n = len(times) - 1
     m = spec.n_levels
     block = _block_steps(m, n)
@@ -363,7 +355,7 @@ def _run_blocks(spec: SystemSpec, groups: list, f_newest: np.ndarray, states: np
     phases = interaction_phases(spec, times[:n:block, None, None])
     d_here = np.zeros_like(left)
     for i, phase in zip(starts, phases):
-        hist = np.concatenate([h.terms() for h, _ in histories])
+        hist = np.concatenate([h.terms() for h, _ in histories]).reshape(-1, block, m, m)
         out = advance(phase, states[:, i], d_here, hist)
         stop = min(i + block, n)
         states[:, i + 1 : stop + 1] = states[:, i, None] + out[:, : stop - i]
@@ -402,11 +394,13 @@ def integrate_batch(
     """Integrate one row per spectral model, all rows on the same system,
     initial state and grid, in one stepping loop.
 
-    Every step is stored.  A row's history term costs O(K M^2) per step
-    for the K exponential modes of its correlator on the grid, recorded
-    with their error in ``Trajectory.history_modes`` and
-    ``Trajectory.mode_error``.  Each row's arithmetic is the same whatever
-    rows run beside it.
+    The loop advances every row B steps at a time, on a tabulated block
+    map up to ``TABULATED_LEVELS`` levels and on the state itself above
+    (:func:`_block_map`), and stores every step.  A row's history term
+    costs O(K M^2) per step for the K exponential modes of its correlator
+    on the grid, recorded with their error in ``Trajectory.history_modes``
+    and ``Trajectory.mode_error``.  Each row's arithmetic is the same
+    whatever rows run beside it.
 
     Returns each row's Trajectory, in the order of ``models``, or an
     IntegrationError: before stepping, from
@@ -453,11 +447,10 @@ def integrate_batch(
 
     states = np.empty((len(rows), n + 1, m, m), dtype=complex)
     states[:, 0] = rho0.entries
-    run = _run_blocks if m <= TABULATED_LEVELS else _run_steps
     # a row that overflows has a non-finite state from then on, and its
     # steps from the first failed one on are discarded below
     with np.errstate(over="ignore", invalid="ignore"):
-        run(spec, groups, f_newest, states, times, cfg)
+        _run_blocks(spec, groups, f_newest, states, times, cfg)
 
         for j, r in enumerate(rows):
             later = states[j, 1:]
@@ -475,12 +468,14 @@ def integrate_batch(
                     if finite[k] else f"non-finite state {at}"
                 )
                 continue
-            defect = np.abs(later - later.conj().transpose(0, 2, 1))
+            # 512 steps at a time, so that the check's temporaries stay small
+            chunks = np.split(later, range(512, n, 512))
+            defect = max(np.abs(c - c.conj().transpose(0, 2, 1)).max() for c in chunks)
             results[r] = Trajectory(
                 times=times,
                 states=states[j],
                 max_trace_drift=float(drift.max()),
-                max_hermiticity_defect=float(defect.max()),
+                max_hermiticity_defect=float(defect),
                 history_modes=count[r],
                 mode_error=modes[r].error,
             )

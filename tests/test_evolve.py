@@ -333,12 +333,13 @@ class TestHistoryPaths:
 
 
 class TestStepMap:
-    @pytest.mark.parametrize("levels", [2, 3, 5, 8])
+    @pytest.mark.parametrize("levels", [2, 3, 5, 8, 10])
     @pytest.mark.parametrize("iterations", [1, 2, 3])
-    def test_tabulated_map_matches_structured_step(self, levels, iterations):
-        # one block from a start at t0 against B structured steps in the
-        # interaction picture; two rows with their own F; inputs neither
-        # Hermitian nor traceless
+    def test_block_map_matches_structured_step(self, levels, iterations):
+        # one block from a start at t0, tabulated up to 8 levels and on the
+        # state above, against B structured steps in the interaction
+        # picture; two rows with their own F; inputs neither Hermitian nor
+        # traceless
         rng = np.random.default_rng(levels * 10 + iterations)
         coupling = np.triu(rng.normal(size=(levels, levels)), 1)
         spec = SystemSpec(np.sort(rng.uniform(0.0, 5.0, levels)), coupling + coupling.T)
@@ -373,25 +374,35 @@ class TestStepMap:
             w, g = want[:, k], got[:, k]
             assert np.max(np.abs(g - w)) <= 1e-14 * max(1.0, np.max(np.abs(w)))
 
-    @pytest.mark.parametrize("levels", [3, 5])
-    @pytest.mark.parametrize("steps", [1, 5, 1440, 1443])
-    def test_block_path_matches_structured_at_block_edges(self, levels, steps, monkeypatch):
-        # n = 1 and 5 (B = 1), and n a multiple of B or not (B = 8 at 3
-        # levels, 4 at 5): the last block's first steps serve a partial block
+    @pytest.mark.parametrize(
+        "levels, steps, block",
+        [
+            # n = 1 and 5 (B = 1), and n a multiple of B or not: the last
+            # block's first steps serve a partial block
+            (3, 1, 1), (3, 5, 1), (3, 1440, 8), (3, 1443, 8),
+            (5, 1, 1), (5, 5, 1), (5, 1440, 4), (5, 1443, 4),
+            # above 8 levels: n < B, n = B and a partial last block
+            (10, 1, 1), (10, 5, 5), (10, 8, 8), (10, 13, 8),
+        ],
+    )
+    def test_block_edges_match_untabulated_and_full_history(self, levels, steps, block,
+                                                            monkeypatch):
         spec = build_three_level() if levels == 3 else build_multilevel(levels, delta=5.0)
         rho0 = initial_density(default_initial_state(), levels)
         model = Rectangular(5.0, 4.0, 10.0)
         cfg = EvolutionConfig(steps * 0.002, 0.002)
         assert cfg.n_steps == steps
-        assert (evolve._block_steps(levels, steps) > 1) == (steps > 5)
+        assert evolve._block_steps(levels, steps) == block
         blocks = integrate(spec, model, rho0, cfg)
-        monkeypatch.setattr(evolve, "TABULATED_LEVELS", 0)
-        structured = integrate(spec, model, rho0, cfg)
         assert blocks.history_modes > 1
         assert np.array_equal(blocks.states[0], rho0.entries)
-        assert np.max(np.abs(blocks.states - structured.states)) <= 1e-14
+        oracle = full_history_integrate(spec, model, rho0, cfg)
+        assert np.max(np.abs(blocks.states - oracle)) <= 1e-12
+        monkeypatch.setattr(evolve, "TABULATED_LEVELS", 0)
+        untabulated = integrate(spec, model, rho0, cfg)
+        assert np.max(np.abs(blocks.states - untabulated.states)) <= 1e-14
 
-    def test_tabulated_path_matches_structured_over_long_run(self, monkeypatch):
+    def test_tabulated_path_matches_untabulated_over_long_run(self, monkeypatch):
         # the rates deck's finest grid: 5 000 steps at dt = 0.0005
         spec = build_three_level()
         rho0 = initial_density(default_initial_state(), 3)
@@ -399,8 +410,8 @@ class TestStepMap:
         cfg = EvolutionConfig(2.5, 0.0005)
         tabulated = integrate(spec, model, rho0, cfg)
         monkeypatch.setattr(evolve, "TABULATED_LEVELS", 0)
-        structured = integrate(spec, model, rho0, cfg)
-        assert np.max(np.abs(tabulated.states - structured.states)) <= 1e-14
+        untabulated = integrate(spec, model, rho0, cfg)
+        assert np.max(np.abs(tabulated.states - untabulated.states)) <= 1e-14
 
 
 class TestBatch:
@@ -496,6 +507,33 @@ class TestBatch:
             assert np.array_equal(traj.states, alone.states)
             assert traj.max_trace_drift == alone.max_trace_drift
             assert traj.max_hermiticity_defect == alone.max_hermiticity_defect
+
+    def test_ten_level_rows_match_one_row_integrate(self):
+        # rows stepped on the state (B = 8) of K = 1, 29 and 114 modes
+        # beside a failing row
+        spec = build_multilevel(10, delta=5.0)
+        rho0 = initial_density(default_initial_state(), 10)
+        cfg = EvolutionConfig(2.5, 0.002)
+        assert evolve._block_steps(10, cfg.n_steps) == 8
+        models = [
+            Lorentzian(5.0, 1.5, 1.0),
+            Rectangular(1e150, 0.0, 100.0),
+            Rectangular(5.0, 4.0, 8.0),
+            PowerGaussian(5.0, -1.0, 2.0),
+        ]
+        batch = integrate_batch(spec, models, rho0, cfg)
+        with pytest.raises(IntegrationError) as info:
+            integrate(spec, models[1], rho0, cfg)
+        assert str(batch[1]) == str(info.value)
+        kept = [(model, traj) for model, traj in zip(models, batch) if model is not models[1]]
+        assert [traj.history_modes for _, traj in kept] == [1, 29, 114]
+        for model, traj in kept:
+            alone = integrate(spec, model, rho0, cfg)
+            assert np.array_equal(traj.states, alone.states)
+            assert traj.max_trace_drift == alone.max_trace_drift
+            assert traj.max_hermiticity_defect == alone.max_hermiticity_defect
+            oracle = full_history_integrate(spec, model, rho0, cfg)
+            assert np.max(np.abs(traj.states - oracle)) <= 1e-12
 
     def test_empty_batch(self):
         spec = build_three_level()
