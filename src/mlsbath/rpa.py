@@ -29,18 +29,21 @@ handled by an imaginary shift ``i*delta`` of the denominators; results
 are Richardson-extrapolated over a ladder of halved shifts, and a
 non-decreasing ladder is flagged as non-convergent.
 
-One :func:`delta_n_total` call evaluates the spectral density once per
-point: the pole-scan grid is tabulated once, and every channel, both
-quantities, every shift and the root search share one memo of scalar
-points.  The integrand runs on Python floats in the operation order of
-numpy's complex128 arithmetic, so its values are the same bits.
+One :func:`delta_n_total` call integrates every channel of both
+quantities at every shift together, on numpy arrays.  One density call on
+the pole-scan grid brackets the zeros of the resummed denominators, which
+are bisected all at once.  Each integral starts as the panels between the
+support edges, its bare pole and those zeros; each round of the adaptive
+loop applies QUADPACK's 21-point Gauss-Kronrod rule to every open panel of
+every integral in one density call, with the shifts as a trailing axis,
+and bisects the panels whose error estimate exceeds their share of the
+tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
-from warnings import catch_warnings, simplefilter, warn_explicit
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +59,33 @@ __all__ = [
     "delta_n_total",
 ]
 
-# subdivision cap of the adaptive rule in each channel integral
-QUAD_LIMIT = 200
+# (name, weight scale, slope) of each quantity: the detuning denominator
+# d_s = omega + offset for the number density, the pair denominator
+# p_s = 2*omega + offset for the fluctuations
+QUANTITIES = (("N", 2.0, 1.0), ("(Delta N)^2", 4.0, 2.0))
+
+# each channel integral at each shift is asked for max(EPSABS, EPSREL |I|)
+# on at most MAX_PANELS panels
+EPSABS, EPSREL = 1e-11, 1e-9
+MAX_PANELS = 2000
+
+# QUADPACK's 21-point Gauss-Kronrod rule (qk21) on [-1, 1], from its
+# nonnegative nodes and their Kronrod and Gauss weights (the embedded
+# 10-point Gauss-Legendre rule uses every other node)
+_X = [0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
+      0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
+      0.2943928627014602, 0.14887433898163122, 0.0]
+_K = [0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996,
+      0.0931254545836976, 0.10938715880229764, 0.12349197626206584, 0.13470921731147334,
+      0.14277593857706009, 0.14773910490133849, 0.1494455540029169]
+_G = [0.0, 0.06667134430868814, 0.0, 0.1494513491505806, 0.0, 0.21908636251598204, 0.0,
+      0.26926671930999635, 0.0, 0.29552422471475287, 0.0]
+_NODES = np.array([-x for x in _X] + _X[-2::-1])
+# the Kronrod and the Gauss weights, as rows
+_RULES = np.array([w + w[-2::-1] for w in (_K, _G)])
+# a panel's error estimate this close to its roundoff, in units of the
+# Kronrod estimate of the absolute integrand, is left unrefined (QUADPACK's)
+_ROUNDOFF = 50.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -158,114 +186,130 @@ def rpa_number_density(
     return float(out[0]) if scalar else out
 
 
-class _Spectrum(NamedTuple):
-    """The spectral density as one :func:`delta_n_total` call sees it: the
-    support clipped to ``[-omega_max, omega_max]``, the pole-scan grid with
-    its densities, and a scalar lookup that evaluates each point once."""
+class _Ladders(NamedTuple):
+    """Each quantity's channel sum at each shift and its quadrature note ("" if
+    every integral converged); the rounds of bisection and quadrature."""
 
-    lo: float
-    hi: float
-    grid: np.ndarray
-    grid_density: np.ndarray
-    density: Callable[[float], float]
+    values: np.ndarray
+    notes: list[str]
+    rounds: int
 
 
-def _tabulate(model: SpectralModel, cfg: RpaConfig) -> _Spectrum:
-    lo, hi = model.support()
-    lo = max(lo, -cfg.omega_max)
-    hi = min(hi, cfg.omega_max)
-    grid = np.linspace(lo, hi, cfg.scan_points)
-    memo: dict[float, float] = {}
-
-    def density(w: float) -> float:
-        value = memo.get(w)
-        if value is None:
-            value = memo[w] = evaluate(model, w)
-        return value
-
-    return _Spectrum(lo, hi, grid, np.asarray(evaluate(model, grid)), density)
-
-
-def _shifted_real(a: float, u: float, b: float, shift: float) -> float:
-    """Re[a / (y (y - b))] with y = u + i*shift, in float arithmetic.
-
-    The operations are those of numpy's complex128 product and quotient,
-    in its order, so the value is the same to the bit: Smith's algorithm,
-    which multiplies by the reciprocal of the scaled denominator (Python's
-    complex division divides by it instead).  ``shift`` > 0 keeps the
-    denominator away from zero.
-    """
-    v = u - b
-    zr = u * v - shift * shift
-    zi = u * shift + shift * v
-    if abs(zr) >= abs(zi):
-        return a * (1.0 / (zr + zi * (zi / zr)))
-    ratio = zr / zi
-    return a * ratio * (1.0 / (zi + zr * ratio))
+def _kronrod(model: SpectralModel, a, b, coeffs, shifts):
+    """Kronrod estimates and error estimates |K21 - G10| of every panel
+    [a, b] at each shift, shape (panels, 2, shifts), and each panel's
+    roundoff floor, from one density call.  ``coeffs`` holds each panel's
+    c*g, 4g, slope and offset."""
+    half = 0.5 * (b - a)
+    w = (0.5 * (a + b))[:, None] + half[:, None] * _NODES
+    intensity = model.density(w)
+    numerator, four_g, slope, offset = coeffs.T[:, :, None]
+    y = slope * w + offset
+    v = y - four_g * intensity
+    # Re[a / ((y + i s)(v + i s))] = a (yv - s^2) / ((yv - s^2)^2 + s^2 (y + v)^2), s on axis 2
+    real = (y * v)[..., None] - shifts * shifts
+    imag = (y + v)[..., None] * shifts
+    f = (numerator * intensity)[..., None] * real / (real * real + imag * imag)
+    estimates = half[:, None, None] * (_RULES @ f)
+    estimates[:, 1] = np.abs(estimates[:, 0] - estimates[:, 1])
+    return estimates, _ROUNDOFF * half[:, None] * (_RULES[0] @ np.abs(f))
 
 
-def _channel_integral(
-    spectrum: _Spectrum,
-    weight_scale: float,
-    g_s: float,
-    slope: float,
-    offset: float,
-    shifts: list[float],
-) -> tuple[list[float], set[str]]:
-    """integral of Re[ c g I / ((y + i shift)(y + i shift - 4 g I)) ] d omega
-    over the clipped support, with y = slope*omega + offset, at each of
-    ``shifts``, and the first lines of the IntegrationWarnings the
-    quadrature raised.  The poles do not depend on the shift, so they are
-    located once and every shift is integrated over the same breakpoints."""
-    # imported here, not at module level, so that ``import mlsbath`` loads
-    # neither scipy.integrate nor scipy.optimize
-    from scipy.integrate import IntegrationWarning, quad
-    from scipy.optimize import brentq
-
-    lo, hi, grid, grid_density, density = spectrum
-    if g_s == 0.0 or hi <= lo:
-        return [0.0] * len(shifts), set()
-    # plain floats: numpy scalar arithmetic costs several times more per point
-    g_s = float(g_s)
-    offset = float(offset)
-    numerator = weight_scale * g_s
-    four_g = 4.0 * g_s
-
-    def integrand(w: float, shift: float) -> float:
-        intensity = density(w)
-        return _shifted_real(numerator * intensity, slope * w + offset, four_g * intensity, shift)
-
-    def resummed(w: float) -> float:
-        return slope * w + offset - four_g * density(w)
-
-    # breakpoints: the bare pole y = 0 plus bracketed zeros of y - 4 g I
-    points = []
-    bare = -offset / slope
-    if lo < bare < hi:
-        points.append(bare)
+def _resummed_roots(model: SpectralModel, coeffs, grid, grid_density):
+    """The zeros of y - 4 g I where an integral (a row of ``coeffs``)
+    changes sign on the scan grid, as (integral, root) arrays, and the
+    rounds taken.  Every bracket is bisected at once, one density call per
+    round, to 4 ulps of the root (of 2^-10 grid steps, near omega = 0); a
+    zero on the grid is its own root."""
+    _, four_g, slope, offset = coeffs.T[:, :, None]
     scanned = slope * grid + offset - four_g * grid_density
-    sign_change = np.nonzero(np.diff(np.sign(scanned)) != 0)[0]
-    for k in sign_change:
-        va, vb = resummed(grid[k]), resummed(grid[k + 1])
-        if va == 0.0:
-            points.append(float(grid[k]))
-        elif va * vb < 0:
-            points.append(float(brentq(resummed, grid[k], grid[k + 1])))
-    points = sorted({p for p in points if lo < p < hi})
-    values = []
-    with catch_warnings(record=True) as caught:
-        simplefilter("always", IntegrationWarning)
-        for shift in shifts:
-            value, _ = quad(integrand, lo, hi, args=(shift,), points=points or None,
-                            limit=QUAD_LIMIT, epsabs=1e-11, epsrel=1e-9)
-            values.append(value)
-    notes = set()
-    for w in caught:
-        if issubclass(w.category, IntegrationWarning):
-            notes.add(str(w.message).strip().splitlines()[0])
-        else:
-            warn_explicit(w.message, w.category, w.filename, w.lineno)
-    return values, notes
+    positive = scanned > 0.0
+    integral, k = np.nonzero(positive[:, 1:] != positive[:, :-1])
+    left, right, rising = grid[k], grid[k + 1], positive[integral, k + 1]
+    right = np.where(scanned[integral, k] == 0.0, left, right)
+    left = np.where(scanned[integral, k + 1] == 0.0, right, left)
+    # |root| >= min(|left|, |right|) unless the bracket holds omega = 0
+    near = np.where(left * right > 0.0, np.minimum(np.abs(left), np.abs(right)), 0.0)
+    ulps = 4.0 * np.finfo(float).eps * np.maximum(near, (grid[1] - grid[0]) / 1024)
+    rounds = int(np.ceil(np.log2(np.max((right - left) / ulps, initial=1.0))))
+    four_g, slope, offset = four_g[integral, 0], slope[integral, 0], offset[integral, 0]
+    for _ in range(rounds):
+        mid = 0.5 * (left + right)
+        below = (slope * mid + offset > four_g * model.density(mid)) != rising
+        left = np.where(below, mid, left)
+        right = np.where(below, right, mid)
+    return integral, 0.5 * (left + right), rounds
+
+
+def _ladders(
+    spec: SystemSpec, model: SpectralModel, state: QubitInitialState, cfg: RpaConfig
+) -> _Ladders:
+    """Integrals of Re[c g I / ((y + i shift)(y + i shift - 4 g I))] over the
+    clipped support, y = slope*omega + offset, for both quantities, every
+    channel with g_s != 0 and every shift of the ladder, summed per quantity.
+
+    Each integral starts as the panels between the support edges, the bare
+    pole y = 0 and the resummed roots.  Each round applies the Kronrod rule
+    to every panel still open, all integrals and shifts in one density
+    call, and bisects the panels whose error estimate exceeds their width's
+    share of max(EPSABS, EPSREL |I|) at some shift, unless they sit at
+    their roundoff floor or can no longer be halved.  An integral that would
+    grow past ``MAX_PANELS`` stops refining, and is reported unconverged.
+    """
+    weights = channel_weights(spec, state)
+    lo, hi = model.support()
+    lo, hi = max(lo, -cfg.omega_max), min(hi, cfg.omega_max)
+    shifts = cfg.pole_shift * 0.5 ** np.arange(cfg.ladder)
+    quantity, coeffs = [], []
+    for q, (_, scale, slope) in enumerate(QUANTITIES):
+        for g, energy in zip(weights, spec.energies):
+            if g != 0.0:
+                quantity.append(q)
+                coeffs.append((scale * g, 4.0 * g, slope, spec.energies[0] - energy))
+    values = np.zeros((len(QUANTITIES), cfg.ladder))
+    if not coeffs or hi <= lo:
+        return _Ladders(values, [""] * len(QUANTITIES), 0)
+    quantity, coeffs = np.array(quantity), np.array(coeffs)
+    count = len(coeffs)
+
+    grid = np.linspace(lo, hi, cfg.scan_points)
+    root_of, roots, rounds = _resummed_roots(model, coeffs, grid, model.density(grid))
+    a, b, integral = [], [], []
+    for n, (_, _, slope, offset) in enumerate(coeffs):
+        cuts = np.append(roots[root_of == n], -offset / slope)
+        edges = [lo, *np.unique(cuts[(lo < cuts) & (cuts < hi)]).tolist(), hi]
+        a, b, integral = a + edges[:-1], b + edges[1:], integral + [n] * (len(edges) - 1)
+    a, b, integral = np.array(a), np.array(b), np.array(integral)
+
+    # each integral's Kronrod and error sums over its retired panels, and its panel count
+    retired = np.zeros((count, 2, cfg.ladder))
+    held = np.bincount(integral, minlength=count)
+    while a.size:
+        estimates, floor = _kronrod(model, a, b, coeffs[integral], shifts)
+        rounds += 1
+        sums = retired.copy()
+        np.add.at(sums, integral, estimates)
+        tolerance = np.maximum(EPSABS, EPSREL * np.abs(sums[:, 0]))
+        share = (b - a)[:, None] * (tolerance / (hi - lo))[integral]
+        failing = (estimates[:, 1] > np.maximum(share, floor)) & (sums[:, 1] > tolerance)[integral]
+        split = failing.any(axis=1) & (b - a > 1e3 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
+        split &= (held + np.bincount(integral[split], minlength=count) <= MAX_PANELS)[integral]
+        held += np.bincount(integral[split], minlength=count)
+        np.add.at(retired, integral[~split], estimates[~split])
+        a, b, integral = a[split], b[split], integral[split]
+        mid = 0.5 * (a + b)
+        a, b, integral = np.concatenate([a, mid]), np.concatenate([mid, b]), np.tile(integral, 2)
+
+    totals, estimate = retired[:, 0], retired[:, 1]
+    np.add.at(values, quantity, totals)
+    unconverged = (estimate > np.maximum(EPSABS, EPSREL * np.abs(totals))).any(axis=1)
+    notes = []
+    for q in range(len(QUANTITIES)):
+        bad = unconverged & (quantity == q)
+        notes.append(f"{bad.sum()} of {(quantity == q).sum()} channel integrals missed the "
+                     f"tolerance within {MAX_PANELS} panels (estimated error "
+                     f"{estimate[bad].max():.1e})" if bad.any() else "")
+    return _Ladders(values, notes, rounds)
 
 
 def _richardson(values: list[float]) -> float:
@@ -291,37 +335,21 @@ def delta_n_total(
     Both integrals are evaluated on a ladder of imaginary pole shifts
     and Richardson-extrapolated to the principal-value limit.  Warnings
     flag a non-Cauchy ladder (non-convergent extrapolation, typical when
-    a pole sits at a support edge), scipy's IntegrationWarnings from any
-    channel integral (one entry per quantity, their distinct first lines
-    sorted) and a negative extrapolated (Delta N)^2 (regularization
-    failure; Delta N is then NaN).
+    a pole sits at a support edge), channel integrals that missed the
+    quadrature tolerance (one entry per quantity) and a negative
+    extrapolated (Delta N)^2 (regularization failure; Delta N is then NaN).
     """
-    weights = channel_weights(spec, state)
-    e1 = spec.energies[0]
-    spectrum = _tabulate(model, cfg)
-    shifts = [cfg.pole_shift * 0.5**k for k in range(cfg.ladder)]
-
+    ladders = _ladders(spec, model, state, cfg)
     warnings: list[str] = []
     limits = []
-    # detuning denominator d_s = omega + offset for the number density,
-    # pair denominator p_s = 2*omega + offset for the fluctuations
-    for name, weight_scale, slope in (("N", 2.0, 1.0), ("(Delta N)^2", 4.0, 2.0)):
-        ladder = [0.0] * cfg.ladder
-        notes: set[str] = set()
-        for s in range(spec.n_levels):
-            if weights[s] == 0.0:
-                continue
-            values, channel_notes = _channel_integral(
-                spectrum, weight_scale, weights[s], slope, e1 - spec.energies[s], shifts
-            )
-            ladder = [total + value for total, value in zip(ladder, values)]
-            notes |= channel_notes
+    for (name, _, _), values, note in zip(QUANTITIES, ladders.values, ladders.notes):
+        ladder = values.tolist()
         diffs = [abs(ladder[k + 1] - ladder[k]) for k in range(len(ladder) - 1)]
         tol = 1e-12 * max(1.0, abs(ladder[-1]))
         if any(d2 > d1 + tol for d1, d2 in zip(diffs, diffs[1:])):
             warnings.append(f"{name}: pole-shift ladder is not Cauchy, extrapolation unreliable")
-        if notes:
-            warnings.append(f"{name}: quadrature warning: {' '.join(sorted(notes))}")
+        if note:
+            warnings.append(f"{name}: quadrature warning: {note}")
         limits.append(_richardson(ladder))
 
     n_total, dn2 = limits

@@ -35,10 +35,8 @@ Everything particular to a family lives on its class:
 * ``ini_keys`` -- ordered map from INI key to dataclass field, which
   fixes the accepted keys, the canonical text and the ``rpa-width``
   sweep (the last key);
-* ``density(w)`` on arrays and ``density_at(w)`` on one Python float,
-  which runs the same operations in the same order, so the two agree bit
-  for bit (:func:`evaluate` picks one; the RPA quadrature calls the float
-  form one point at a time);
+* ``density(w)`` on numpy arrays: :func:`evaluate` wraps it, and the RPA
+  channel integrals call it once per round on all of that round's nodes;
 * ``support()``, ``window()`` (the default range of a spectrum table),
   the closed-form ``correlator(tau)`` for ``tau >= 0``,
   and ``mode_count(steps, dt)`` and ``exp_modes(steps, dt)``: the size and
@@ -113,9 +111,6 @@ class Rectangular:
         inside = np.abs(w - self.center) < self.half_width
         return np.where(inside, self.area / (2.0 * self.half_width), 0.0)
 
-    def density_at(self, w: float) -> float:
-        return self.area / (2.0 * self.half_width) if abs(w - self.center) < self.half_width else 0.0
-
     def support(self) -> tuple[float, float]:
         return (self.center - self.half_width, self.center + self.half_width)
 
@@ -162,16 +157,6 @@ class Lorentzian:
 
     def density(self, w):
         return (self.area / np.pi) * self.width / ((w - self.center) ** 2 + self.width**2)
-
-    def density_at(self, w: float) -> float:
-        # ``** 2``, not ``d * d``: on a 0-d array ``density`` squares a
-        # numpy float64 by libm pow, as Python does (the product differs on
-        # about 1 point in 2 000); Python raises where numpy gives inf
-        try:
-            square = (w - self.center) ** 2
-        except OverflowError:
-            square = np.inf
-        return (self.area / np.pi) * self.width / (square + self.width**2)
 
     def support(self) -> tuple[float, float]:
         return (-np.inf, np.inf)
@@ -232,18 +217,6 @@ class PowerGaussian:
             )
         return np.where(w > 0, raw, 0.0)
 
-    def density_at(self, w: float) -> float:
-        if not w > 0:
-            return 0.0
-        lam = self.cutoff
-        x, p = w / lam, 1.0 + self.ohmicity
-        # the ufuncs of ``density`` on Python floats, and ``w * w`` for its
-        # 0-d ``w**2``; the products run on floats, which take inf * 0 to
-        # nan without numpy's warning.  x underflowed to 0 with p < 0 is
-        # the divide by zero that ``density`` silences, to inf
-        rise = np.inf if x == 0.0 and p < 0 else float(np.power(x, p))
-        return self.amplitude * rise * float(np.exp(-(w * w) / (4.0 * lam**2)))
-
     def support(self) -> tuple[float, float]:
         return (0.0, np.inf)
 
@@ -296,13 +269,11 @@ FAMILIES = {cls.kind: cls for cls in (Rectangular, Lorentzian, PowerGaussian)}
 
 
 def evaluate(model: SpectralModel, omega):
-    """Spectral density I(omega): a float from the family's ``density_at``
-    for a scalar omega (Python, numpy or 0-d array), an array from its
-    ``density`` for an array."""
-    # the isinstance test first: np.ndim costs microseconds on a Python float
-    if isinstance(omega, float) or np.ndim(omega) == 0:
-        return model.density_at(float(omega))
-    return model.density(np.asarray(omega, dtype=float))
+    """Spectral density I(omega): the family's ``density``, an array for an
+    array omega and a float for a scalar (Python, numpy or 0-d array)."""
+    omega = np.asarray(omega, dtype=float)
+    value = model.density(omega)
+    return float(value) if omega.ndim == 0 else value
 
 
 def correlator(model: SpectralModel, tau: float) -> complex:

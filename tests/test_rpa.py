@@ -14,20 +14,37 @@ from mlsbath.model import (
 )
 from mlsbath.rpa import (
     RpaConfig,
-    _channel_integral,
-    _shifted_real,
-    _tabulate,
     channel_weights,
     delta_n_total,
     n_second_order,
     rpa_number_density,
 )
 from mlsbath.spectra import Lorentzian, PowerGaussian, Rectangular, evaluate
+from scipy.optimize import brentq
+from scipy.special import roots_legendre
+
+from oracles import graded_ladder
 
 STATE = default_initial_state()
 QUICK = RpaConfig(ladder=3, scan_points=2000)
-# the shifts of the default ladder
-DEFAULT_SHIFTS = [RpaConfig().pole_shift * 0.5**k for k in range(RpaConfig().ladder)]
+PI = math.pi
+
+# (system, spectrum) pairs checked against the graded-mesh oracle: edge and
+# interior poles of every family, a resummed root about 1e-4 from a bare
+# pole (Lor(5,8,1)), two channel integrals QUADPACK reported as probably
+# divergent (Rect(5,0,100), and Lor(5,0,8) on three levels, where its N was
+# 3.4e3 times too large), and an off-resonant rectangle
+ORACLE_CASES = [
+    (build_three_level(), PowerGaussian(5 * PI, -1.0, 2.5)),
+    (build_multilevel(6, delta=8.0), PowerGaussian(5 * PI, 1.0, 3.06)),
+    (build_three_level(), Lorentzian(5.0, 8.0, 1.0)),
+    (build_three_level(), Lorentzian(5.0, 1.5, 1.0)),
+    (build_three_level(), PowerGaussian(5.0, 0.0, 1.0)),
+    (build_three_level(), PowerGaussian(5.0, 1.0, 1.0)),
+    (build_three_level(), Rectangular(5.0, 0.0, 100.0)),
+    (build_multilevel(3, delta=8.0), Lorentzian(5.0, 0.0, 8.0)),
+    (build_three_level(), Rectangular(5 * PI, 8.0, 1.0)),
+]
 
 
 class TestChannelWeights:
@@ -149,71 +166,84 @@ class TestDeltaNTotal:
                 np.real(4.0 * weights[s] * intensity / (p * (p - 4.0 * weights[s] * intensity))),
                 grid,
             )
-        # compare against the same-shift adaptive quadrature
-        spectrum = _tabulate(model, cfg)
-        n_quad = sum(
-            _channel_integral(spectrum, 2.0, weights[s], 1.0, spec.energies[0] - spec.energies[s],
-                              [shift])[0][0]
-            for s in range(3)
-        )
-        dn2_quad = sum(
-            _channel_integral(spectrum, 4.0, weights[s], 2.0, spec.energies[0] - spec.energies[s],
-                              [shift])[0][0]
-            for s in range(3)
-        )
+        # the first rung of the ladder is the shift itself
+        (n_quad, _), (dn2_quad, _) = rpa._ladders(spec, model, STATE, cfg).values
         assert n_quad == pytest.approx(n_ref, rel=1e-5)
         assert dn2_quad == pytest.approx(dn2_ref, rel=1e-5)
 
-    def test_one_pole_scan_serves_every_shift(self):
-        # the bare pole at omega = 2 of channel 3 lies inside the support:
-        # one call over the ladder gives each shift's own single-shift value
+    @pytest.mark.parametrize("spec, model", ORACLE_CASES, ids=lambda x: repr(x)[:40])
+    def test_ladder_matches_graded_oracle(self, spec, model):
+        # each rung of both quantities.  Where the channel sums cancel to
+        # 1e-5 (Rect(5,0,100)), rounding leaves about 1e-14: the oracle's
+        # own variants (60 nodes, ratio 1.2) differ from it by that much
+        cfg = RpaConfig()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ladders = rpa._ladders(spec, model, STATE, cfg)
+            res = delta_n_total(spec, model, STATE, cfg)
+        assert ladders.values == pytest.approx(graded_ladder(spec, model, STATE, cfg),
+                                               rel=1e-9, abs=1e-13)
+        assert ladders.notes == ["", ""]
+        assert not any("quadrature warning" in w for w in res.warnings)
+
+    def test_kronrod_rule(self):
+        # the embedded rule is 10-point Gauss-Legendre, and the Kronrod rule
+        # integrates x^p exactly up to p = 31
+        kronrod, gauss = rpa._RULES
+        x, w = roots_legendre(10)
+        assert rpa._NODES[gauss != 0.0] == pytest.approx(x, abs=1e-15)
+        assert gauss[gauss != 0.0] == pytest.approx(w, abs=1e-15)
+        for p in range(32):
+            exact = 0.0 if p % 2 else 2.0 / (p + 1)
+            assert kronrod @ rpa._NODES**p == pytest.approx(exact, abs=1e-15)
+
+    def test_resummed_roots_to_a_few_ulps(self):
+        # Lor(5,8,1): a resummed root about 1e-4 from a bare pole
         spec = build_three_level()
-        spectrum = _tabulate(Rectangular(5.0, 2.0, 1.0), QUICK)
-        g = channel_weights(spec, STATE)[2]
-        offset = spec.energies[0] - spec.energies[2]
-        shifts = [1e-2, 5e-3, 2.5e-3]
-        for scale, slope in ((2.0, 1.0), (4.0, 2.0)):
-            values, _ = _channel_integral(spectrum, scale, g, slope, offset, shifts)
-            assert values == [
-                _channel_integral(spectrum, scale, g, slope, offset, [shift])[0][0]
-                for shift in shifts
-            ]
+        model = Lorentzian(5.0, 8.0, 1.0)
+        g = channel_weights(spec, STATE)
+        coeffs = np.array([(2.0 * g[s], 4.0 * g[s], slope, spec.energies[0] - spec.energies[s])
+                           for slope in (1.0, 2.0) for s in range(3)])
+        grid = np.linspace(-1000.0, 1000.0, 10_000)
+        step = grid[1] - grid[0]
+        integral, roots, _ = rpa._resummed_roots(model, coeffs, grid, model.density(grid))
+        assert len(roots) >= 6
+        for n, root in zip(integral, roots):
+            _, four_g, slope, offset = coeffs[n]
+            f = lambda w: slope * w + offset - four_g * evaluate(model, w)
+            k = np.searchsorted(grid, root)
+            expected = brentq(f, grid[k - 1], grid[k], xtol=1e-300, rtol=1e-15)
+            # 4 ulps each for the bisection and for brentq's rtol
+            assert abs(root - expected) <= 8 * np.spacing(max(abs(expected), step / 1024))
 
     @pytest.mark.parametrize(
         "model",
         [Lorentzian(5.0, 1.5, 1.0), PowerGaussian(5.0, 0.0, 1.0)],
         ids=["lorentzian", "power-gaussian"],
     )
-    def test_each_density_point_evaluated_once(self, monkeypatch, model):
-        # every channel, both quantities, every shift and the root finder
-        # share one lookup: no scalar omega reaches evaluate twice
-        scalars = []
+    def test_density_called_on_arrays_once_per_round(self, monkeypatch, model):
+        # every channel, both quantities and every shift share one density
+        # call per round of root bisection or quadrature, after the scan
+        inputs = []
+        density = type(model).density
 
         def spy(m, omega):
-            if np.ndim(omega) == 0:
-                scalars.append(float(omega))
-            return evaluate(m, omega)
+            inputs.append(omega)
+            return density(m, omega)
 
-        monkeypatch.setattr(rpa, "evaluate", spy)
-        delta_n_total(build_three_level(), model, STATE, QUICK)
-        assert len(scalars) > 1000
-        assert len(set(scalars)) == len(scalars)
+        rounds = []
+        ladders = rpa._ladders
 
-    @pytest.mark.parametrize("shift", DEFAULT_SHIFTS)
-    def test_float_integrand_matches_complex128(self, shift):
-        # Re[a / (y (y - b))] with y = u + i*shift, against numpy's complex128
-        # arithmetic on numpy scalars, to the bit; points on both sides of
-        # |Re z| = |Im z| for z = y (y - b), and of both signs
-        sides = set()
-        for a in (0.37, -2.5e-3):
-            for u in (-3.0, -0.02, -shift, -1e-5, 0.0, 1e-5, shift, 0.02, 3.0):
-                for b in (-0.4, -1e-3, 0.0, 1e-3, 0.4):
-                    y = np.float64(u) + 1j * shift
-                    z = y * (y - np.float64(b))
-                    sides.add(abs(z.real) >= abs(z.imag))
-                    expected = float(np.real(np.float64(a) / z))
-                    assert _shifted_real(a, u, b, shift) == expected
-        assert sides == {True, False}
+        def counted(*args):
+            result = ladders(*args)
+            rounds.append(result.rounds)
+            return result
+
+        monkeypatch.setattr(type(model), "density", spy)
+        monkeypatch.setattr(rpa, "_ladders", counted)
+        delta_n_total(build_three_level(), model, STATE, RpaConfig())
+        assert all(isinstance(w, np.ndarray) and w.ndim >= 1 for w in inputs)
+        assert 10 < len(inputs) <= rounds[0] + 1
 
     def test_ladder_is_cauchy_off_resonance(self):
         spec = build_three_level()
@@ -226,26 +256,13 @@ class TestDeltaNTotal:
         res = delta_n_total(spec, Rectangular(5.0, 2.0, 1.0), STATE, QUICK)
         assert any("Cauchy" in w for w in res.warnings)
 
-    @pytest.mark.parametrize(
-        "spec, model, quantities",
-        [
-            # the systems and spectra of demos/configs/area_sweep.ini and
-            # levels_sweep.ini, whose channel integrals scipy's quad reports
-            # as probably divergent
-            (build_three_level(), Rectangular(5.0, 0.0, 100.0), ["(Delta N)^2"]),
-            (build_multilevel(3, delta=8.0), Lorentzian(5.0, 0.0, 8.0), ["N", "(Delta N)^2"]),
-        ],
-        ids=["rectangle", "lorentzian"],
-    )
-    def test_quadrature_warning_recorded(self, spec, model, quantities):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            res = delta_n_total(spec, model, STATE, RpaConfig())
+    def test_quadrature_warning_recorded(self, monkeypatch):
+        # a panel cap too small for any channel integral: one note per quantity
+        monkeypatch.setattr(rpa, "MAX_PANELS", 4)
+        res = delta_n_total(build_three_level(), Lorentzian(5.0, 1.5, 1.0), STATE, RpaConfig())
         notes = [w for w in res.warnings if "quadrature warning" in w]
-        assert notes == [
-            f"{name}: quadrature warning: The integral is probably divergent, or slowly convergent."
-            for name in quantities
-        ]
+        assert [note.split(":")[0] for note in notes] == ["N", "(Delta N)^2"]
+        assert all("channel integrals missed the tolerance within 4 panels" in n for n in notes)
 
     def test_width_flatness_at_fixed_area(self):
         spec = build_three_level()

@@ -1,6 +1,5 @@
 import cmath
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -55,71 +54,6 @@ class TestEvaluate:
             out = evaluate(m, omega)
             assert type(out) is float
             assert out == float(m.density(np.asarray(omega, dtype=float)))
-
-
-# five ohmicities at two cutoffs: at cutoff 2.5, 5e-324 / L underflows to
-# 0, which nu = -1.95 raises to a negative power
-DENSITY_AT_CASES = [
-    *(PowerGaussian(5.0, nu, 1.0) for nu in (-1.95, -1.0, 0.0, 1.0, 2.5)),
-    *(PowerGaussian(5.0, nu, 2.5) for nu in (-1.95, -1.0, 0.0, 1.0, 2.5)),
-    Lorentzian(5.0, 1.5, 1.0),
-    Rectangular(5.0, 4.0, 8.0),
-    Rectangular(5.0, 0.7, 0.5),
-]
-
-
-def _density_at_points(m, count: int) -> list[float]:
-    """A grid of ``count`` points over the density's range plus its edge
-    points: negative frequencies, both zeros, the rectangle's edges and
-    their inner neighbours, the smallest subnormal, frequencies where the
-    power-Gaussian's exp underflows, one whose square overflows, and +-inf."""
-    lo, hi = m.window()
-    points = np.linspace(lo - 5.0, hi + 5.0, count).tolist()
-    points += [-1.0, -5e-324, 0.0, -0.0, 5e-324, 1e-300, 100.0, 1e3, 1e150, 1e200,
-               -math.inf, math.inf]
-    if isinstance(m, Rectangular):
-        lo, hi = m.support()
-        points += [lo, hi, math.nextafter(lo, hi), math.nextafter(hi, lo)]
-    if isinstance(m, PowerGaussian):
-        # exp(-x^2 / 4) leaves the subnormals near x = 54.6 and is 0 past 54.7
-        points += [m.cutoff * x for x in (54.0, 54.6, 54.7, 60.0)]
-    return points
-
-
-def _same_bits(a: float, b: float) -> bool:
-    return np.float64(a).tobytes() == np.float64(b).tobytes()
-
-
-class TestDensityAt:
-    @pytest.mark.parametrize("m", DENSITY_AT_CASES, ids=repr)
-    def test_matches_array_form_bit_for_bit(self, m):
-        # the Lorentzian's grid is dense enough to catch a d * d in place of
-        # pow(d, 2): they differ on about 1 in 2 000 points
-        points = _density_at_points(m, 40001 if isinstance(m, Lorentzian) else 4001)
-        with np.errstate(all="ignore"):
-            expected = [float(m.density(np.asarray(w))) for w in points]
-            got = [m.density_at(w) for w in points]
-        mismatched = [(w, a, b) for w, a, b in zip(points, got, expected) if not _same_bits(a, b)]
-        assert mismatched == []
-
-    @pytest.mark.parametrize("m", DENSITY_AT_CASES, ids=repr)
-    def test_no_warning_where_array_form_has_none(self, m):
-        quiet = []
-        for w in _density_at_points(m, 2001):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                try:
-                    m.density(np.asarray(w))
-                except RuntimeWarning:
-                    continue
-            quiet.append(w)
-        # +inf is quiet in the array form, which takes the power-Gaussian's
-        # inf * 0 to nan inside np.errstate
-        assert math.inf in quiet
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for w in quiet:
-                m.density_at(w)
 
 
 class TestArea:
