@@ -10,6 +10,7 @@ from mlsbath.model import (
     SystemSpec,
     build_multilevel,
     build_three_level,
+    build_two_level,
     default_initial_state,
 )
 from mlsbath.rpa import (
@@ -33,7 +34,9 @@ PI = math.pi
 # interior poles of every family, a resummed root about 1e-4 from a bare
 # pole (Lor(5,8,1)), two channel integrals QUADPACK reported as probably
 # divergent (Rect(5,0,100), and Lor(5,0,8) on three levels, where its N was
-# 3.4e3 times too large), and an off-resonant rectangle
+# 3.4e3 times too large), an off-resonant rectangle, the ends of the
+# committed rpa-area and rpa-width sweeps, and interior poles on four to six
+# levels and in the two-level system
 ORACLE_CASES = [
     (build_three_level(), PowerGaussian(5 * PI, -1.0, 2.5)),
     (build_multilevel(6, delta=8.0), PowerGaussian(5 * PI, 1.0, 3.06)),
@@ -44,7 +47,26 @@ ORACLE_CASES = [
     (build_three_level(), Rectangular(5.0, 0.0, 100.0)),
     (build_multilevel(3, delta=8.0), Lorentzian(5.0, 0.0, 8.0)),
     (build_three_level(), Rectangular(5 * PI, 8.0, 1.0)),
+    (build_three_level(), Rectangular(PI / 2, 12.0, 1.0)),
+    (build_three_level(), Rectangular(50 * PI, 12.0, 1.0)),
+    (build_three_level(), Rectangular(5 * PI, 8.0, 0.5)),
+    (build_three_level(), Rectangular(5 * PI, 8.0, 1.5)),
+    (build_three_level(), Rectangular(5.0, 2.0, 1.0)),
+    (build_two_level(), PowerGaussian(5.0, 0.0, 1.0)),
+    (build_multilevel(4, delta=5.0), Rectangular(5.0, 4.0, 8.0)),
+    (build_multilevel(5, delta=5.0), PowerGaussian(5.0, -1.0, 2.0)),
+    (build_multilevel(6, delta=8.0), Lorentzian(5.0, 1.5, 1.0)),
 ]
+# one system and spectrum of each family, both poles inside the support
+FAMILY_CASES = [Lorentzian(5.0, 1.5, 1.0), Rectangular(5.0, 4.0, 8.0), PowerGaussian(5.0, 0.0, 1.0)]
+FAMILY_IDS = ["lorentzian", "rectangle", "power-gaussian"]
+# the shifts of the default ladder
+DEFAULT_SHIFTS = [RpaConfig().pole_shift * 0.5**k for k in range(RpaConfig().ladder)]
+
+
+def _case_id(case) -> str:
+    spec, model = case
+    return f"{spec.energies.size}-level {model!r}"
 
 
 class TestChannelWeights:
@@ -171,7 +193,7 @@ class TestDeltaNTotal:
         assert n_quad == pytest.approx(n_ref, rel=1e-5)
         assert dn2_quad == pytest.approx(dn2_ref, rel=1e-5)
 
-    @pytest.mark.parametrize("spec, model", ORACLE_CASES, ids=lambda x: repr(x)[:40])
+    @pytest.mark.parametrize("spec, model", ORACLE_CASES, ids=map(_case_id, ORACLE_CASES))
     def test_ladder_matches_graded_oracle(self, spec, model):
         # each rung of both quantities.  Where the channel sums cancel to
         # 1e-5 (Rect(5,0,100)), rounding leaves about 1e-14: the oracle's
@@ -197,17 +219,29 @@ class TestDeltaNTotal:
             exact = 0.0 if p % 2 else 2.0 / (p + 1)
             assert kronrod @ rpa._NODES**p == pytest.approx(exact, abs=1e-15)
 
-    def test_resummed_roots_to_a_few_ulps(self):
-        # Lor(5,8,1): a resummed root about 1e-4 from a bare pole
+    @pytest.mark.parametrize(
+        "model, count",
+        [
+            # a resummed root about 1e-4 from a bare pole
+            (Lorentzian(5.0, 8.0, 1.0), 6),
+            # roots near omega = 0, where the bisection stops at 2^-10 grid steps
+            (Lorentzian(5.0, 1.5, 1.0), 6),
+            (PowerGaussian(5.0, 0.0, 1.0), 2),
+            (PowerGaussian(5 * PI, -1.0, 2.5), 2),
+            # roots on the jumps of a discontinuous density
+            (Rectangular(5.0, 4.0, 8.0), 4),
+        ],
+        ids=repr,
+    )
+    def test_resummed_roots_to_a_few_ulps(self, model, count):
         spec = build_three_level()
-        model = Lorentzian(5.0, 8.0, 1.0)
         g = channel_weights(spec, STATE)
         coeffs = np.array([(2.0 * g[s], 4.0 * g[s], slope, spec.energies[0] - spec.energies[s])
                            for slope in (1.0, 2.0) for s in range(3)])
         grid = np.linspace(-1000.0, 1000.0, 10_000)
         step = grid[1] - grid[0]
         integral, roots, _ = rpa._resummed_roots(model, coeffs, grid, model.density(grid))
-        assert len(roots) >= 6
+        assert len(roots) >= count
         for n, root in zip(integral, roots):
             _, four_g, slope, offset = coeffs[n]
             f = lambda w: slope * w + offset - four_g * evaluate(model, w)
@@ -216,11 +250,53 @@ class TestDeltaNTotal:
             # 4 ulps each for the bisection and for brentq's rtol
             assert abs(root - expected) <= 8 * np.spacing(max(abs(expected), step / 1024))
 
-    @pytest.mark.parametrize(
-        "model",
-        [Lorentzian(5.0, 1.5, 1.0), PowerGaussian(5.0, 0.0, 1.0)],
-        ids=["lorentzian", "power-gaussian"],
-    )
+    @pytest.mark.parametrize("shift", DEFAULT_SHIFTS)
+    def test_kronrod_integrand_matches_complex128(self, shift):
+        # Re[a I / ((y + i s)(v + i s))], v = y - 4 g I, in real arithmetic,
+        # against numpy's complex128 arithmetic on the same nodes: panels of
+        # widths 2s, 20s and 2 around the bare pole of channels with both
+        # signs of the offset, so that nodes fall on both sides of
+        # |Re z| = |Im z| for z = (y + i s)(v + i s)
+        model = Lorentzian(5.0, 1.5, 1.0)
+        coeffs = np.array([(scale * g, 4.0 * g, slope, offset)
+                           for scale, slope in ((2.0, 1.0), (4.0, 2.0))
+                           for g in (0.05, 0.4) for offset in (-2.0, 0.0, 1.5)])
+        poles = -coeffs[:, 3] / coeffs[:, 2]
+        widths = np.array([shift, 10.0 * shift, 1.0])
+        a = (poles[:, None] - widths).ravel()
+        b = (poles[:, None] + widths).ravel()
+        rows = coeffs.repeat(len(widths), axis=0)
+        estimates, floor = rpa._kronrod(model, a, b, rows, np.array([shift]))
+
+        half = 0.5 * (b - a)
+        w = 0.5 * (a + b)[:, None] + half[:, None] * rpa._NODES
+        intensity = model.density(w)
+        numerator, four_g, slope, offset = rows.T[:, :, None]
+        y = slope * w + offset + 1j * shift
+        z = y * (y - four_g * intensity)
+        sides = np.abs(z.real) >= np.abs(z.imag)
+        assert sides.any() and not sides.all()
+        f = np.real(numerator * intensity / z)
+        kronrod, gauss = rpa._RULES
+        # a few ulps of the panel's integral of |a I / z| under either rule
+        bound = 1e-14 * half * (np.abs(numerator * intensity / z) @ (kronrod + gauss))
+        assert np.all(np.abs(estimates[:, 0, 0] - half * (f @ kronrod)) <= bound)
+        assert np.all(np.abs(estimates[:, 1, 0] - np.abs(half * (f @ (kronrod - gauss)))) <= bound)
+        roundoff = rpa._ROUNDOFF * half * (np.abs(f) @ kronrod)
+        assert floor[:, 0] == pytest.approx(roundoff, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("model", FAMILY_CASES, ids=FAMILY_IDS)
+    def test_one_pole_scan_serves_every_shift(self, model):
+        # the shifts share one scan and one set of panels: each rung of the
+        # ladder agrees with a ladder started at that rung's shift to the
+        # quadrature tolerance, though not to the bit
+        spec = build_three_level()
+        values = rpa._ladders(spec, model, STATE, RpaConfig()).values
+        for k, shift in enumerate(DEFAULT_SHIFTS):
+            alone = rpa._ladders(spec, model, STATE, RpaConfig(pole_shift=shift, ladder=2))
+            assert alone.values[:, 0] == pytest.approx(values[:, k], rel=1e-9, abs=1e-10)
+
+    @pytest.mark.parametrize("model", FAMILY_CASES, ids=FAMILY_IDS)
     def test_density_called_on_arrays_once_per_round(self, monkeypatch, model):
         # every channel, both quantities and every shift share one density
         # call per round of root bisection or quadrature, after the scan
@@ -256,10 +332,11 @@ class TestDeltaNTotal:
         res = delta_n_total(spec, Rectangular(5.0, 2.0, 1.0), STATE, QUICK)
         assert any("Cauchy" in w for w in res.warnings)
 
-    def test_quadrature_warning_recorded(self, monkeypatch):
+    @pytest.mark.parametrize("model", FAMILY_CASES, ids=FAMILY_IDS)
+    def test_quadrature_warning_recorded(self, monkeypatch, model):
         # a panel cap too small for any channel integral: one note per quantity
         monkeypatch.setattr(rpa, "MAX_PANELS", 4)
-        res = delta_n_total(build_three_level(), Lorentzian(5.0, 1.5, 1.0), STATE, RpaConfig())
+        res = delta_n_total(build_three_level(), model, STATE, RpaConfig())
         notes = [w for w in res.warnings if "quadrature warning" in w]
         assert [note.split(":")[0] for note in notes] == ["N", "(Delta N)^2"]
         assert all("channel integrals missed the tolerance within 4 panels" in n for n in notes)
