@@ -801,3 +801,67 @@ class TestTrajectoryCsvBytes:
         write_spectrum_csv_per_value(tmp_path / "spectrum.csv", omegas, intensity)
         for name in ("correlator.csv", "spectrum.csv"):
             assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+def _powers_of_ten_and_neighbours():
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    return np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens[:-1], np.inf)])
+
+
+def _ties():
+    """Odd multiples of 2**-e with 18 significant digits, the last a 5:
+    exact ties at 17 digits, which '%.17g' breaks to even."""
+    rng = np.random.default_rng(11)
+    ties = []
+    for e in range(17, 26):
+        lo, hi = 10.0 ** (17 - e) * 2.0**e, 10.0 ** (18 - e) * 2.0**e
+        m = rng.integers(int(np.ceil(lo)), max(int(hi), int(np.ceil(lo)) + 1), size=200) | 1
+        ties.append(m[(m >= lo) & (m < hi)] * 2.0**-e)
+    return np.concatenate(ties)
+
+
+# %g's switch between positional and exponent form, and the
+# '9.9999999999999999e-05' that reads as 1e-4
+SWITCH_POINTS = [1e-5, 1e-4, 1e16, 1e17, 9.9999999999999999e-05, 0.1, 1.0, 1e15]
+SPECIALS = [0.0, np.inf, np.nan, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+
+
+def _both_signs(values):
+    values = np.asarray(values, dtype=float)
+    return np.column_stack([values, -values])
+
+
+def _random_bit_patterns():
+    """200 000 random doubles of both signs.  One in eight is a uniform
+    bit pattern (every exponent, subnormals, infinities, nan payloads);
+    the rest keep random sign and mantissa bits under an exponent of
+    2**-66 <= |x| < 2**67, where '%.17g' itself runs fast."""
+    rng = np.random.default_rng(3)
+    bits = rng.integers(0, 2**64, size=200_000, dtype=np.uint64)
+    band = np.arange(bits.size) % 8 != 0
+    exponents = rng.integers(1023 - 66, 1023 + 67, size=np.count_nonzero(band)).astype(np.uint64)
+    bits[band] = bits[band] & np.uint64(0x800F_FFFF_FFFF_FFFF) | exponents << np.uint64(52)
+    return bits.view(np.float64).reshape(-1, 16)
+
+
+FLOAT_TABLES = {
+    "random-bits": _random_bit_patterns,
+    "powers-of-ten": lambda: _both_signs(_powers_of_ten_and_neighbours()),
+    "ties": lambda: _both_signs(_ties()),
+    "switch-points": lambda: _both_signs(np.concatenate(
+        [SWITCH_POINTS, np.nextafter(SWITCH_POINTS, 0.0), np.nextafter(SWITCH_POINTS, np.inf)])),
+    "specials": lambda: _both_signs(SPECIALS),
+    "1x1": lambda: np.array([[0.1 + 0.2]]),
+    "51x16": lambda: np.random.default_rng(4).normal(size=(51, 16))
+    * 10.0 ** np.random.default_rng(5).integers(-8, 3, size=(51, 16)),
+}
+
+
+@pytest.mark.parametrize("name", FLOAT_TABLES)
+def test_float_table_bytes_are_percent_17g(tmp_path, name):
+    table = FLOAT_TABLES[name]()
+    header = [f"c{j}" for j in range(table.shape[1])]
+    harness.write_columns_csv(tmp_path / "table.csv", header, list(table.T))
+    expected = ",".join(header) + "\n" + "".join(
+        ",".join("%.17g" % v for v in row) + "\n" for row in table.tolist())
+    assert (tmp_path / "table.csv").read_bytes() == expected.encode()
