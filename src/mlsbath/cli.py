@@ -1,18 +1,15 @@
 """Command-line front-end.
 
-Subcommands::
+Usage::
 
-    mlsbath evolve           --config CFG --out DIR
-    mlsbath rates            --config CFG --out DIR
-    mlsbath sweep            --config CFG --out DIR
-    mlsbath correlator-table --config CFG --out DIR
-    mlsbath spectrum-table   --config CFG --out DIR
-    mlsbath rpa              --config CFG --out DIR
+    mlsbath <command> --config CFG --out DIR
 
-All subcommands take every setting from the INI configuration
-documented in :mod:`mlsbath.harness`, write their tables/JSON into
-``--out``, and exit nonzero with a message on stderr when the
-configuration is invalid or a computation fails.
+with ``<command>`` one of ``evolve``, ``rates``, ``sweep``,
+``correlator-table``, ``spectrum-table`` and ``rpa`` (``mlsbath --help``
+lists them with what each does).  Every command takes all its settings
+from the INI configuration documented in :mod:`mlsbath.harness`, writes
+its tables/JSON into ``--out``, and exits nonzero with a message on
+stderr when the configuration is invalid or a computation fails.
 """
 
 from __future__ import annotations
@@ -39,28 +36,30 @@ from .rpa import delta_n_total
 from .spectra import correlator_table, evaluate
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", required=True, help="configuration file (INI)")
-    sub.add_argument("--out", required=True, help="output directory")
+COMMANDS = {
+    "evolve": "integrate one trajectory",
+    "rates": "integrate and fit decoherence rates",
+    "sweep": "run a parameter sweep",
+    "correlator-table": "tabulate the noise correlator",
+    "spectrum-table": "tabulate the spectral density",
+    "rpa": "total mode-number correction and fluctuation",
+}
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mlsbath",
-        description="Zero-temperature multilevel decoherence toolkit",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-    _add_common(subs.add_parser("evolve", help="integrate one trajectory"))
-    _add_common(subs.add_parser("rates", help="integrate and fit decoherence rates"))
-    _add_common(subs.add_parser("sweep", help="run a parameter sweep"))
-    _add_common(subs.add_parser("correlator-table", help="tabulate the noise correlator"))
-    _add_common(subs.add_parser("spectrum-table", help="tabulate the spectral density"))
-    _add_common(subs.add_parser("rpa", help="total mode-number correction and fluctuation"))
-    return parser
+# built once, at import: every command takes the same two options
+PARSER = argparse.ArgumentParser(
+    prog="mlsbath",
+    description="Zero-temperature multilevel decoherence toolkit",
+    epilog="commands:\n" + "".join(f"  {name:<18}{text}\n" for name, text in COMMANDS.items()),
+    formatter_class=argparse.RawDescriptionHelpFormatter,
+)
+PARSER.add_argument("command", choices=COMMANDS, metavar="command",
+                    help="one of the commands below")
+PARSER.add_argument("--config", required=True, metavar="CFG", help="configuration file (INI)")
+PARSER.add_argument("--out", required=True, metavar="DIR", help="output directory")
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         scenario, sweep, table = load_config(args.config)
         out = Path(args.out)

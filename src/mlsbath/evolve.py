@@ -61,11 +61,11 @@ Every array of the stepping loop has a leading batch axis over rows that
 share the system, the initial state and the grid and differ only in their
 spectral model (:func:`integrate_batch`; the points of an area or center
 sweep), so the rows share a step's Python and numpy call overhead, most
-of its cost at a few levels.  The rows with K modes, for each K present,
-share one history, never padded.  Every operation acts on each row alone,
-so a row's bytes do not depend on its neighbours, :func:`integrate` is
-the one-row case, and the stored states can be checked once, after the
-last step.
+of its cost at a few levels.  The rows with K modes run one stepping loop
+on one history, never padded, for each K present; a sweep's points share
+one K.  Every operation acts on each row alone, so a row's bytes do not
+depend on its neighbours, :func:`integrate` is the one-row case, and the
+stored states can be checked once, after the last step.
 """
 
 from __future__ import annotations
@@ -76,7 +76,8 @@ from itertools import groupby
 
 import numpy as np
 
-from .model import DensityMatrix, SystemSpec, interaction_phases, require_finite
+from .model import (DensityMatrix, SystemSpec, interaction_coupling, interaction_phases,
+                    require_finite)
 from .spectra import ExpModes, IntegrationError, SpectralModel, correlator_modes, correlator_table
 
 __all__ = ["EvolutionConfig", "Trajectory", "IntegrationError", "integrate", "integrate_batch"]
@@ -303,7 +304,7 @@ def _block_map(spec: SystemSpec, f_newest: np.ndarray, f_ahead: np.ndarray, dt: 
     rows, block = f_ahead.shape
     coupling = spec.coupling
     m = len(coupling)
-    couplings = coupling * interaction_phases(spec, dt * np.arange(1, block + 1)[:, None, None])
+    couplings = interaction_coupling(spec, dt * np.arange(1, block + 1)[:, None, None])
     if m > TABULATED_LEVELS:
         f_ahead = f_ahead[:, :, None, None]
 
@@ -338,30 +339,26 @@ def _block_steps(m: int, n_steps: int) -> int:
     return max(1, math.isqrt(budget // (m * m) + 1) - 1)
 
 
-def _run_blocks(spec: SystemSpec, groups: list, f_newest: np.ndarray, states: np.ndarray,
-                times: np.ndarray, cfg: EvolutionConfig) -> None:
-    """Fill ``states[:, 1:]`` B steps at a time by :func:`_block_map`; the
-    last block may be partial."""
+def _run_blocks(spec: SystemSpec, modes: list[ExpModes], f_newest: np.ndarray,
+                states: np.ndarray, times: np.ndarray, cfg: EvolutionConfig) -> None:
+    """Fill ``states[:, 1:]`` of rows with the same number of ``modes`` B
+    steps at a time by :func:`_block_map`; the last block may be partial."""
     n = len(times) - 1
     m = spec.n_levels
     block = _block_steps(m, n)
     left = spec.coupling @ states[:, 0]
     right = states[:, 0] @ spec.coupling
-    histories = [(_BlockHistory(members, cfg.dt, block, left[rs], right[rs]), rs)
-                 for members, rs in groups]
-    f_ahead = np.concatenate([h.correlator() for h, _ in histories])
-    advance = _block_map(spec, f_newest, f_ahead, cfg.dt, cfg.corrector_iterations)
+    history = _BlockHistory(modes, cfg.dt, block, left, right)
+    advance = _block_map(spec, f_newest, history.correlator(), cfg.dt, cfg.corrector_iterations)
     starts = range(0, n, block)
     phases = interaction_phases(spec, times[:n:block, None, None])
     d_here = np.zeros_like(left)
     for i, phase in zip(starts, phases):
-        hist = np.concatenate([h.terms() for h, _ in histories]).reshape(-1, block, m, m)
-        out = advance(phase, states[:, i], d_here, hist)
+        out = advance(phase, states[:, i], d_here, history.terms().reshape(-1, block, m, m))
         stop = min(i + block, n)
         states[:, i + 1 : stop + 1] = states[:, i, None] + out[:, : stop - i]
         d_here = out[:, block]
-        for h, rs in histories:
-            h.push(out[rs, block + 1 :])
+        history.push(out[:, block + 1 :])
 
 
 def integrate(
@@ -392,15 +389,17 @@ def integrate_batch(
     cfg: EvolutionConfig = EvolutionConfig(),
 ) -> list[Trajectory | IntegrationError]:
     """Integrate one row per spectral model, all rows on the same system,
-    initial state and grid, in one stepping loop.
+    initial state and grid, in one stepping loop per mode count K.
 
-    The loop advances every row B steps at a time, on a tabulated block
-    map up to ``TABULATED_LEVELS`` levels and on the state itself above
-    (:func:`_block_map`), and stores every step.  A row's history term
-    costs O(K M^2) per step for the K exponential modes of its correlator
-    on the grid, recorded with their error in ``Trajectory.history_modes``
-    and ``Trajectory.mode_error``.  Each row's arithmetic is the same
-    whatever rows run beside it.
+    A row's history term costs O(K M^2) per step for the K exponential
+    modes of its correlator on the grid, recorded with their error in
+    ``Trajectory.history_modes`` and ``Trajectory.mode_error``.  The rows
+    of each K share one loop (:func:`_run_blocks`), which advances them B
+    steps at a time, on a tabulated block map up to ``TABULATED_LEVELS``
+    levels and on the state itself above (:func:`_block_map`), and stores
+    every step.  The points of an area or center sweep have one K, so they
+    share one loop; a mixed batch runs one loop after another.  Each row's
+    arithmetic is the same whatever rows run beside it.
 
     Returns each row's Trajectory, in the order of ``models``, or an
     IntegrationError: before stepping, from
@@ -420,7 +419,7 @@ def integrate_batch(
     half = 0.5 * dt
     times = np.arange(n + 1) * dt
 
-    tables = [correlator_table(model, n * dt if n > 0 else dt, dt)[: n + 1] for model in models]
+    tables = [correlator_table(model, n * dt, dt) for model in models]
     results: list = [None] * len(models)
     modes = {}
     for r, (model, table) in enumerate(zip(models, tables)):
@@ -429,54 +428,46 @@ def integrate_batch(
         except IntegrationError as exc:
             results[r] = exc
 
-    # rows step sorted by mode count K, so that each history serves one
-    # slice of rows; a row that has no modes does not step
+    # the rows with K modes run one stepping loop for each K present; a
+    # row that has no modes does not step.  A row that overflows has a
+    # non-finite state from then on, and its steps from the first failed
+    # one on are discarded below
     count = {r: len(row_modes.coeffs) for r, row_modes in modes.items()}
-    rows = sorted(modes, key=count.__getitem__)
-    if not rows:
-        return results
-    groups, start = [], 0  # (the rows' modes, their slice of rows)
-    for _, members in groupby(rows, key=count.__getitem__):
-        members = [modes[r] for r in members]
-        groups.append((members, slice(start, start + len(members))))
-        start += len(members)
-
-    # F(0) with its trapezoid weight: the newest term of S1 - S2, the
-    # only one holding the state being corrected
-    f_newest = half * np.array([tables[r][0] for r in rows])[:, None, None]
-
-    states = np.empty((len(rows), n + 1, m, m), dtype=complex)
-    states[:, 0] = rho0.entries
-    # a row that overflows has a non-finite state from then on, and its
-    # steps from the first failed one on are discarded below
     with np.errstate(over="ignore", invalid="ignore"):
-        _run_blocks(spec, groups, f_newest, states, times, cfg)
+        for _, rows in groupby(sorted(modes, key=count.__getitem__), key=count.__getitem__):
+            rows = list(rows)
+            # F(0) with its trapezoid weight: the newest term of S1 - S2,
+            # the only one holding the state being corrected
+            f_newest = half * np.array([tables[r][0] for r in rows])[:, None, None]
+            states = np.empty((len(rows), n + 1, m, m), dtype=complex)
+            states[:, 0] = rho0.entries
+            _run_blocks(spec, [modes[r] for r in rows], f_newest, states, times, cfg)
 
-        for j, r in enumerate(rows):
-            later = states[j, 1:]
-            finite = np.isfinite(later).all(axis=(1, 2))
-            trace = np.trace(later, axis1=1, axis2=2)
-            # hypot gives the bits of abs() of one complex trace, which
-            # numpy's vectorized complex abs does not
-            drift = np.hypot(trace.real - 1.0, trace.imag)
-            failed = np.flatnonzero(~finite | (drift > TRACE_ABORT))
-            if failed.size:
-                k = failed[0]
-                at = f"at step {k + 1} (t = {times[k + 1]:.6g})"
-                results[r] = IntegrationError(
-                    f"trace drift {drift[k]:.3e} exceeds {TRACE_ABORT} {at}"
-                    if finite[k] else f"non-finite state {at}"
+            for j, r in enumerate(rows):
+                later = states[j, 1:]
+                finite = np.isfinite(later).all(axis=(1, 2))
+                trace = np.trace(later, axis1=1, axis2=2)
+                # hypot gives the bits of abs() of one complex trace, which
+                # numpy's vectorized complex abs does not
+                drift = np.hypot(trace.real - 1.0, trace.imag)
+                failed = np.flatnonzero(~finite | (drift > TRACE_ABORT))
+                if failed.size:
+                    k = failed[0]
+                    at = f"at step {k + 1} (t = {times[k + 1]:.6g})"
+                    results[r] = IntegrationError(
+                        f"trace drift {drift[k]:.3e} exceeds {TRACE_ABORT} {at}"
+                        if finite[k] else f"non-finite state {at}"
+                    )
+                    continue
+                # 512 steps at a time, so that the check's temporaries stay small
+                chunks = np.split(later, range(512, n, 512))
+                defect = max(np.abs(c - c.conj().transpose(0, 2, 1)).max() for c in chunks)
+                results[r] = Trajectory(
+                    times=times,
+                    states=states[j],
+                    max_trace_drift=float(drift.max()),
+                    max_hermiticity_defect=float(defect),
+                    history_modes=count[r],
+                    mode_error=modes[r].error,
                 )
-                continue
-            # 512 steps at a time, so that the check's temporaries stay small
-            chunks = np.split(later, range(512, n, 512))
-            defect = max(np.abs(c - c.conj().transpose(0, 2, 1)).max() for c in chunks)
-            results[r] = Trajectory(
-                times=times,
-                states=states[j],
-                max_trace_drift=float(drift.max()),
-                max_hermiticity_defect=float(defect),
-                history_modes=count[r],
-                mode_error=modes[r].error,
-            )
     return results

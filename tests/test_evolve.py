@@ -5,6 +5,7 @@ import pytest
 
 from mlsbath import evolve, spectra
 from mlsbath.evolve import EvolutionConfig, IntegrationError, integrate, integrate_batch
+from mlsbath.harness import load_config, run_sweep
 from mlsbath.model import (
     SystemSpec,
     build_multilevel,
@@ -539,6 +540,75 @@ class TestBatch:
         spec = build_three_level()
         rho0 = initial_density(default_initial_state(), 3)
         assert integrate_batch(spec, [], rho0) == []
+
+
+class TestOneLoopPerSweep:
+    """integrate_batch runs one stepping loop per mode count K; the sweeps
+    of the CLI keep one K per batch, so each batch runs one loop."""
+
+    @pytest.mark.parametrize("family, shape", [
+        (Rectangular, (0.0, 1.0)),
+        (Rectangular, (4.0, 100.0)),
+        (Lorentzian, (1.5, 8.0)),
+        (PowerGaussian, (-1.0, 2.0)),
+        (PowerGaussian, (1.0, 5.0)),
+    ])
+    @pytest.mark.parametrize("steps, dt", [(50, 0.002), (1250, 0.002), (250, 0.01)])
+    def test_mode_count_independent_of_area(self, family, shape, steps, dt):
+        counts = {family(area, *shape).mode_count(steps, dt) for area in (0.5, 5.0, 50.0, 500.0)}
+        assert len(counts) == 1
+
+    @pytest.mark.parametrize("family, width", [(Rectangular, 1.0), (Rectangular, 100.0),
+                                               (Lorentzian, 8.0)])
+    @pytest.mark.parametrize("steps, dt", [(50, 0.002), (1250, 0.002), (250, 0.01)])
+    def test_mode_count_independent_of_center(self, family, width, steps, dt):
+        counts = {family(5.0, center, width).mode_count(steps, dt)
+                  for center in (-3.0, 0.0, 1.0, 4.0, 25.0)}
+        assert len(counts) == 1
+
+    @staticmethod
+    def count_loops(monkeypatch) -> list:
+        calls = []
+        run_blocks = evolve._run_blocks
+
+        def counted(spec, modes, *args):
+            calls.append((spec.n_levels, len(modes)))
+            return run_blocks(spec, modes, *args)
+
+        monkeypatch.setattr(evolve, "_run_blocks", counted)
+        return calls
+
+    @pytest.mark.parametrize("kind, spectrum", [
+        ("spectral-area", "kind = rectangular\narea = 5.0\ncenter = 4.0\nwidth = 8.0"),
+        ("spectral-area", "kind = lorentzian\narea = 5.0\ncenter = 1.5\nwidth = 8.0"),
+        ("spectral-area", "kind = power-gaussian\narea = 5.0\nohmicity = -1.0\ncutoff = 2.0"),
+        ("spectral-center", "kind = rectangular\narea = 5.0\ncenter = 4.0\nwidth = 8.0"),
+        ("spectral-center", "kind = lorentzian\narea = 5.0\ncenter = 1.5\nwidth = 8.0"),
+    ])
+    def test_spectral_sweep_runs_one_loop(self, tmp_path, monkeypatch, kind, spectrum):
+        calls = self.count_loops(monkeypatch)
+        rows = run_sweep(self.sweep(tmp_path, "three-level", spectrum, kind, "0.5 2 5 50"))
+        assert [row["status"] for row in rows] == ["ok"] * 4
+        assert calls == [(3, 4)]
+
+    def test_levels_sweep_runs_one_loop_per_level_count(self, tmp_path, monkeypatch):
+        calls = self.count_loops(monkeypatch)
+        spectrum = "kind = rectangular\narea = 5.0\ncenter = 0.0\nwidth = 8.0"
+        rows = run_sweep(self.sweep(tmp_path, "multilevel\nlevels = 3\ndelta = 8.0", spectrum,
+                                    "levels", "2 3 5 10"))
+        assert [row["status"] for row in rows] == ["ok"] * 4
+        assert calls == [(2, 1), (3, 1), (5, 1), (10, 1)]
+
+    @staticmethod
+    def sweep(tmp_path, system, spectrum, kind, grid):
+        path = tmp_path / "sweep.ini"
+        path.write_text(
+            f"[system]\nkind = {system}\n\n[spectrum]\n{spectrum}\n\n"
+            "[evolution]\nt_max = 0.1\ndt = 0.002\n\n[fit]\nt_lo = 0.02\nt_hi = 0.1\n\n"
+            f"[sweep]\nkind = {kind}\ngrid = {grid}\n"
+        )
+        _, sweep, _ = load_config(path)
+        return sweep
 
 
 class TestEvolutionConfig:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import re
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from mlsbath import harness
-from mlsbath.cli import main
+from mlsbath.cli import COMMANDS, main
 from mlsbath.evolve import Trajectory
 from mlsbath.harness import (
     ConfigError,
@@ -711,6 +712,53 @@ class TestCli:
         payload = json.loads((out / "rpa.json").read_text())
         assert payload["n_total"] > 0
         assert payload["delta_n"] > 0
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        names = ["evolve", "rates", "sweep", "correlator-table", "spectrum-table", "rpa"]
+        assert list(COMMANDS) == names
+        for name in names:
+            assert re.search(rf"^ +{name} +{re.escape(COMMANDS[name])}$", out, re.M)
+
+    def test_unknown_command(self, tmp_path, capsys):
+        cfg = write(tmp_path, BASE_CONFIG)
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert info.value.code == 2
+        assert "invalid choice: 'simulate'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_missing_out(self, tmp_path, capsys):
+        cfg = write(tmp_path, BASE_CONFIG)
+        with pytest.raises(SystemExit) as info:
+            main(["rates", "--config", str(cfg)])
+        assert info.value.code == 2
+        assert "the following arguments are required: --out" in capsys.readouterr().err
+
+    def test_parser_built_once(self, tmp_path, monkeypatch):
+        # the parser is built at import, not on each call
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cfg = write(tmp_path, RPA_CONFIG)
+        for command in ("rpa", "rates"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+        assert built == []
+
+    def test_repeated_calls_write_same_bytes(self, tmp_path):
+        cfg = str(CONFIGS / "rpa_point.ini")
+        for run in ("a", "b"):
+            assert main(["rpa", "--config", cfg, "--out", str(tmp_path / run)]) == 0
+        first = (tmp_path / "a" / "rpa.json").read_bytes()
+        assert first == (tmp_path / "b" / "rpa.json").read_bytes()
 
     def test_invalid_config_nonzero_exit(self, tmp_path, capsys):
         cfg = write(tmp_path, BASE_CONFIG.replace("area = 5.0", "area = -1"))
