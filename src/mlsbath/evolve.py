@@ -49,13 +49,18 @@ A block is linear in (rho_i, its derivative, the old-history terms), and
 only the coupling changes with time, as ``V_t = Phi_t * V_0`` entrywise
 with ``Phi_t[j, k] = exp(-i (E_j - E_k) t)``.  In the frame rotated by the
 phases of a block start i, the coupling at step i + j is ``Phi_j * V_0``
-whatever i is, so a block is one fixed linear map per row.  Rows of up to
-``TABULATED_LEVELS`` = 8 levels tabulate it once, on the (B + 2) M^2 basis
-inputs, and apply it as one matrix-vector product per block, B
-(:func:`_block_steps`) balancing the tabulation and the map's
-(3 B + 1)(B + 2) M^4 entries against the numpy calls it saves.  Larger
-rows run the block's steps on the state itself, ``UNTABULATED_BLOCK`` = 8
-at a time, with the couplings ``Phi_i * Phi_j * V_0`` (:func:`_block_map`).
+whatever i is, so a block is one fixed linear map per row.  The loop
+carries the state, its derivative and the mode sums in that frame; the
+map hands the next block its inputs turned by conj(Phi_B), and one
+multiply after the last block rotates the stored states into the
+interaction picture (:func:`_run_blocks`).  Rows of up to
+``TABULATED_LEVELS`` = 8 levels tabulate the map once, from its responses
+to the 3 M^2 inputs rho_i, its derivative and the first history term
+(:func:`_tabulate`), and apply it as one matrix-vector product per block,
+B (:func:`_block_steps`) balancing the map's (3 B + 1)(B + 2) M^4 entries
+against the numpy calls it saves.  Larger rows run the block's steps on
+the state itself, ``UNTABULATED_BLOCK`` = 8 at a time, with the couplings
+``Phi_j * V_0`` (:func:`_block_map`).
 
 Every array of the stepping loop has a leading batch axis over rows that
 share the system, the initial state and the grid and differ only in their
@@ -89,13 +94,17 @@ TRACE_ABORT = 1e-4
 # measured on 1 250-step runs (at M = 9 the 114-mode power-Gaussian was
 # 1.5 times slower tabulated).
 TABULATED_LEVELS = 8
-# Those rows step in blocks of B steps, the largest B whose map takes
-# B (B + 2) M^2 <= BLOCK_BUDGET basis steps to tabulate, at least one:
-# 12 at M = 2, 8 at 3, 5 at 4, 4 at 5, 3 at 6 and 2 at 7 and 8, none
-# more than a quarter slower than the fastest B measured on 2 500-step
-# runs, where single runs drift by +-30 % on the measuring host.  A
-# shorter run of n steps tabulates within n / 2 basis steps instead, so
-# that the map's cost stays below that of the steps it saves.
+# Those rows step in blocks of B steps, the largest B with
+# B (B + 2) M^2 <= BLOCK_BUDGET, at least one: 12 at M = 2, 8 at 3, 5 at
+# 4, 4 at 5, 3 at 6 and 2 at 7 and 8, none more than a quarter slower
+# than the fastest B measured on 2 500-step runs, where single runs drift
+# by +-30 % on the measuring host.  With the map tabulated from 3 M^2
+# inputs, B = 12 and 16 at M = 3 were 5-10 % faster than 8 on 5 000-step
+# runs, and 24 and 32 slower, as the map grows as B^2.  B (B + 2) M^2 is
+# the count of basis steps a tabulation on every input would take; the
+# map is tabulated in 3 M^2 B of them.  A run of n steps keeps that count
+# within n / 2 instead, so that the map's cost stays below that of the
+# steps it saves.
 BLOCK_BUDGET = 720
 # Larger rows step the state itself in blocks of this many steps: 16 made
 # the M = 40 Lorentzian a quarter slower on one BLAS thread, and 4 gave up
@@ -163,17 +172,20 @@ class Trajectory:
 
 class _BlockHistory:
     """History terms of G rows from K exponential modes each, B steps at a
-    time: O(B K M^2) per row and block.
+    time, in the frame rotated by the phases of the block start: O(B K M^2)
+    per row and block.
 
     At the start i of a block, ``sums[g, 0, q]`` holds
     ``sum_k w_k e^(lambda_q (i - k) dt) V_k rho_k`` over the steps k < i,
     and ``sums[g, 1, q]`` the same for ``rho_k V_k`` against the modes of
-    conj(F).  :func:`_block` weighs every step of its block, the start
-    included, by dt, so the sums start at ``-dt/2`` times step 0's terms,
-    which leaves the trapezoid weight dt/2 on it.
+    conj(F), both times conj(Phi_i) entrywise.  :func:`_block` weighs every
+    step of its block, the start included, by dt, so the sums start at
+    ``-dt/2`` times step 0's terms, which leaves the trapezoid weight dt/2
+    on it.  ``decay`` carries the sums over a block and, by ``turn`` =
+    conj(Phi_B), into the frame of the next block start.
     """
 
-    def __init__(self, modes: list[ExpModes], dt: float, block: int, left, right):
+    def __init__(self, modes: list[ExpModes], dt: float, block: int, turn, left, right):
         g, k = len(modes), len(modes[0].rates)
         rates = np.array([mode.rates for mode in modes])[:, None, None, :]
         rates = np.concatenate([rates, np.conj(rates)], axis=1)  # (G, 2, 1, K)
@@ -187,7 +199,7 @@ class _BlockHistory:
         # weights[g, side, q, l] = dt e^(lambda_q (B - l) dt) for step l of a block
         rates = rates.transpose(0, 1, 3, 2)
         self.weights = dt * np.exp(rates * lags[::-1, 0])
-        self.decay = np.exp(rates * (block * dt))
+        self.decay = np.exp(rates * (block * dt)) * turn.reshape(-1)  # (G, 2, K, M^2)
         seed = -0.5 * dt * np.stack([left, right], axis=1).reshape(g, 2, 1, -1)
         self.sums = np.repeat(seed, k, axis=2)
 
@@ -195,21 +207,23 @@ class _BlockHistory:
         """F((j + 1) dt) for the steps j of a block from the modes, (G, B)."""
         return self.ahead[:, :, : self.ahead.shape[2] // 2].sum(axis=2)
 
-    def terms(self) -> np.ndarray:
-        """The old steps' part of the history term at each step of the
-        block, (G, B, M^2)."""
+    def terms(self, out: np.ndarray) -> None:
+        """Write the old steps' part of the history term at each step of the
+        block into ``out``, (G, B, M^2)."""
         g, _, k, mm = self.sums.shape
-        return self.ahead @ self.sums.reshape(g, 2 * k, mm)
+        np.matmul(self.ahead, self.sums.reshape(g, 2 * k, mm), out=out)
 
     def push(self, sides: np.ndarray) -> None:
-        """Carry the sums past a block: ``sides`` holds ``V rho`` at the
-        block's B steps, then ``rho V`` at them, (G, 2 B, M, M)."""
+        """Carry the sums past a block, into the next block's frame:
+        ``sides`` holds ``V rho`` at the block's B steps, then ``rho V`` at
+        them, in that frame, (G, 2 B, M, M)."""
         g, _, _, mm = self.sums.shape
         sides = sides.reshape(g, 2, -1, mm)
         # at B = 1 the product is an outer product, which a broadcast
         # multiply forms without the cost of a BLAS call
         fresh = self.weights * sides if sides.shape[2] == 1 else self.weights @ sides
-        self.sums = self.decay * self.sums + fresh
+        self.sums *= self.decay
+        self.sums += fresh
 
 
 def _step(v, f_newest, s, d, hist, dt: float, iterations: int) -> tuple:
@@ -250,18 +264,19 @@ def _block(coupling, couplings, f_newest, f_ahead, s, d, hist, dt: float,
     ``f_ahead[..., j, :, :]`` is F((j + 1) dt); every argument but the
     couplings may carry leading batch axes.
 
-    Returns ``out`` (..., 3 B + 1, M, M): ``out[..., j - 1, :, :]`` is
-    ``rho_(i+j) - rho_i`` for j = 1..B, ``out[..., B, :, :]`` the
-    derivative at step i + B, and ``out[..., B + 1:, :, :]`` holds
-    ``V rho`` at steps i..i+B-1, then ``rho V`` at them, for
-    :meth:`_BlockHistory.push`.  Each column is linear in (s, d, hist).
+    Returns ``out`` (..., 4 B, M, M): for j = 1..B, ``out[..., j - 1, :, :]``
+    is ``rho_(i+j) - rho_i`` and ``out[..., B + j - 1, :, :]`` the
+    derivative at step i + j; ``out[..., 2 B:, :, :]`` holds ``V rho`` at
+    steps i..i+B-1, then ``rho V`` at them, for :meth:`_BlockHistory.push`.
+    Each column is linear in (s, d, hist).
     """
     block, m = couplings.shape[:2]
     batch = np.broadcast_shapes(s.shape[:-2], f_newest.shape[:-2])
-    out = np.empty(batch + (3 * block + 1, m, m), dtype=complex)
+    out = np.empty(batch + (4 * block, m, m), dtype=complex)
     increments = out[..., :block, :, :]
-    lefts = out[..., block + 1 : 2 * block + 1, :, :]
-    rights = out[..., 2 * block + 1 :, :, :]
+    derivatives = out[..., block : 2 * block, :, :]
+    lefts = out[..., 2 * block : 3 * block, :, :]
+    rights = out[..., 3 * block :, :, :]
     lefts[..., 0, :, :] = coupling @ s
     rights[..., 0, :, :] = s @ coupling
     weights = dt * f_ahead
@@ -276,30 +291,74 @@ def _block(coupling, couplings, f_newest, f_ahead, s, d, hist, dt: float,
         if j:
             delta += increments[..., j - 1, :, :]
         increments[..., j, :, :] = delta
+        derivatives[..., j, :, :] = d
         if j + 1 < block:
             lefts[..., j + 1, :, :] = left
             rights[..., j + 1, :, :] = right
         here = s + delta
-    out[..., block, :, :] = d
     return out
 
 
-def _block_map(spec: SystemSpec, f_newest: np.ndarray, f_ahead: np.ndarray, dt: float,
-               iterations: int):
-    """The B steps of :func:`_block` from a block start i, as a function
-    ``advance(phase, s, d, hist)`` of R rows with ``f_newest`` (R, 1, 1)
-    and ``f_ahead`` = F((j + 1) dt), (R, B): ``phase`` is Phi at step i,
-    ``s`` and ``d`` are rho_i and its derivative (R, M, M), and ``hist``
-    is (R, B, M, M).  It returns :func:`_block`'s (R, 3 B + 1, M, M)
-    columns in the interaction picture.
+def _tabulate(spec: SystemSpec, couplings, f_newest, f_ahead, dt: float,
+              iterations: int) -> np.ndarray:
+    """:func:`_block` in a block start's frame as one matrix per row,
+    (R, (3 B + 1) M^2, (B + 2) M^2): it takes rho_i, its derivative and the
+    B history terms to :func:`_block`'s columns without the derivatives
+    before step i + B.  ``couplings`` are the couplings ``Phi_j * V_0`` at
+    the block's steps 1..B, ``f_newest`` and ``f_ahead`` as in
+    :func:`_block_map`.
+
+    :func:`_block` runs once, on the 3 M^2 basis inputs of rho_i, its
+    derivative and the first history term.  The response to the unit
+    matrix e_ab as the history term of step j is that to it as the first
+    one, delayed by j steps and rotated by Phi_j * conj(Phi_j[a, b]):
+    Phi_(j+k) = Phi_j * Phi_k entrywise, so the couplings of the delayed
+    steps are those of the first ones rotated by Phi_j.  Its derivative at
+    step i + B is the first one's at step i + B - j.
+    """
+    rows, block = f_ahead.shape
+    m = len(spec.coupling)
+    p = m * m
+    basis = np.eye(3 * p, dtype=complex).reshape(3 * p, 3, m, m)
+    hist = np.zeros((3 * p, block, m, m), dtype=complex)
+    hist[:, 0] = basis[:, 2]
+    out = _block(spec.coupling, couplings, f_newest[:, None], f_ahead[:, None, :, None, None],
+                 basis[:, 0], basis[:, 1], hist, dt, iterations)
+    # response[r, input, input entry, column, column entry]
+    response = out.reshape(rows, 3, p, 4 * block, p)
+    maps = np.zeros((rows, block + 2, p, 3 * block + 1, p), dtype=complex)
+    maps[:, :2] = response[:, :2, :, np.r_[: block, 2 * block - 1 : 4 * block]]
+    phases = interaction_phases(spec, dt * np.arange(block)[:, None, None]).reshape(block, p)
+    for j, phase in enumerate(phases):
+        delayed = response[:, 2] * np.multiply.outer(np.conj(phase), phase)[:, None]
+        history = maps[:, 2 + j]
+        history[:, :, j:block] = delayed[:, :, : block - j]
+        history[:, :, block] = delayed[:, :, 2 * block - 1 - j]
+        history[:, :, block + 1 + j : 2 * block + 1] = delayed[:, :, 2 * block : 3 * block - j]
+        history[:, :, 2 * block + 1 + j :] = delayed[:, :, 3 * block : 4 * block - j]
+    # a matrix-vector product gives the same bytes on any number of BLAS
+    # threads, a vector-matrix product does not
+    return np.ascontiguousarray(maps.reshape(rows, (block + 2) * p, -1).transpose(0, 2, 1))
+
+
+def _block_map(spec: SystemSpec, f_newest: np.ndarray, f_ahead: np.ndarray, turn: np.ndarray,
+               dt: float, iterations: int):
+    """The B steps of :func:`_block` from a block start i, in the frame
+    rotated by Phi_i, the phases at step i, as a function ``advance(z)`` of
+    R rows with ``f_newest`` (R, 1, 1) and ``f_ahead`` = F((j + 1) dt),
+    (R, B).  ``z`` (R, B + 2, M, M) holds rho_i, its derivative and the
+    history terms of :meth:`_BlockHistory.terms`, all in that frame.
+    ``advance`` returns the increments ``out[:, :B]`` in that frame, and
+    the derivative at step i + B ``out[:, -2 B - 1]`` and the sides
+    ``out[:, -2 B:]`` of :func:`_block` turned by ``turn`` = conj(Phi_B)
+    into the frame of step i + B.
 
     In the frame rotated by Phi_i the coupling at step i + j is
     ``Phi_j * V_0``, the same for every block, so the B steps are one fixed
     linear map per row.  Rows of up to ``TABULATED_LEVELS`` levels tabulate
-    it once, by :func:`_block` on the (B + 2) M^2 basis inputs, and apply
-    it as one matrix-vector product between rotations in and out.  Larger
-    rows run :func:`_block` on the state itself, with the block's
-    interaction-picture couplings ``Phi_i * Phi_j * V_0``.
+    it once (:func:`_tabulate`), fold the turn into its rows, and apply it
+    as one matrix-vector product.  Larger rows run :func:`_block` on the
+    state itself with the couplings ``Phi_j * V_0``.
     """
     rows, block = f_ahead.shape
     coupling = spec.coupling
@@ -308,22 +367,19 @@ def _block_map(spec: SystemSpec, f_newest: np.ndarray, f_ahead: np.ndarray, dt: 
     if m > TABULATED_LEVELS:
         f_ahead = f_ahead[:, :, None, None]
 
-        def advance(phase, s, d, hist):
-            return _block(coupling * phase, couplings * phase, f_newest, f_ahead, s, d, hist,
-                          dt, iterations)
+        def advance(z):
+            out = _block(coupling, couplings, f_newest, f_ahead, z[:, 0], z[:, 1], z[:, 2:],
+                         dt, iterations)
+            out[:, -2 * block - 1 :] *= turn
+            return out
 
         return advance
 
-    width = (block + 2) * m * m
-    basis = np.eye(width, dtype=complex).reshape(width, block + 2, m, m)
-    out = _block(coupling, couplings, f_newest[:, None], f_ahead[:, None, :, None, None],
-                 basis[:, 0], basis[:, 1], basis[:, 2:], dt, iterations)
-    maps = np.ascontiguousarray(out.reshape(rows, width, -1).transpose(0, 2, 1))
+    maps = _tabulate(spec, couplings, f_newest, f_ahead, dt, iterations)
+    maps.reshape(rows, 3 * block + 1, m * m, -1)[:, block:] *= turn.reshape(-1, 1)
 
-    def advance(phase, s, d, hist):
-        z = np.concatenate((s[:, None], d[:, None], hist), axis=1)
-        z = z * np.conj(phase)
-        return (maps @ z.reshape(rows, width, 1)).reshape(rows, -1, m, m) * phase
+    def advance(z):
+        return (maps @ z.reshape(rows, -1, 1)).reshape(rows, -1, m, m)
 
     return advance
 
@@ -342,23 +398,44 @@ def _block_steps(m: int, n_steps: int) -> int:
 def _run_blocks(spec: SystemSpec, modes: list[ExpModes], f_newest: np.ndarray,
                 states: np.ndarray, times: np.ndarray, cfg: EvolutionConfig) -> None:
     """Fill ``states[:, 1:]`` of rows with the same number of ``modes`` B
-    steps at a time by :func:`_block_map`; the last block may be partial."""
-    n = len(times) - 1
+    steps at a time by :func:`_block_map`; the last block may be partial.
+
+    The loop carries the state, its derivative and the mode sums in the
+    frame of the block start i, and stores the block's states i..i+B-1 in
+    it; a full block turns its last state into the next block's frame.
+    One multiply by Phi at the block starts, after the last block, rotates
+    every stored state into the interaction picture.
+    """
+    rows, n = len(states), len(times) - 1
     m = spec.n_levels
     block = _block_steps(m, n)
+    turn = np.conj(interaction_phases(spec, block * cfg.dt))
     left = spec.coupling @ states[:, 0]
     right = states[:, 0] @ spec.coupling
-    history = _BlockHistory(modes, cfg.dt, block, left, right)
-    advance = _block_map(spec, f_newest, history.correlator(), cfg.dt, cfg.corrector_iterations)
-    starts = range(0, n, block)
-    phases = interaction_phases(spec, times[:n:block, None, None])
-    d_here = np.zeros_like(left)
-    for i, phase in zip(starts, phases):
-        out = advance(phase, states[:, i], d_here, history.terms().reshape(-1, block, m, m))
+    history = _BlockHistory(modes, cfg.dt, block, turn, left, right)
+    advance = _block_map(spec, f_newest, history.correlator(), turn, cfg.dt,
+                         cfg.corrector_iterations)
+    # the input of every block: rho_i, its derivative and the history terms
+    z = np.zeros((rows, block + 2, m, m), dtype=complex)
+    z[:, 0] = states[:, 0]
+    terms = z.reshape(rows, block + 2, m * m)[:, 2:]
+    for i in range(0, n, block):
+        history.terms(out=terms)
+        out = advance(z)
         stop = min(i + block, n)
-        states[:, i + 1 : stop + 1] = states[:, i, None] + out[:, : stop - i]
-        d_here = out[:, block]
-        history.push(out[:, block + 1 :])
+        np.add(z[:, :1], out[:, : stop - i], out=states[:, i + 1 : stop + 1])
+        if stop < i + block:  # a partial block is the last
+            break
+        np.multiply(states[:, stop], turn, out=z[:, 0])
+        states[:, stop] = z[:, 0]
+        z[:, 1] = out[:, -2 * block - 1]
+        history.push(out[:, -2 * block :])
+
+    phases = interaction_phases(spec, times[::block, None, None])
+    full = n - n % block
+    blocks = states[:, :full].reshape(rows, -1, block, m, m)  # a view of states
+    blocks *= phases[:-1, None]
+    states[:, full:] *= phases[-1]
 
 
 def integrate(

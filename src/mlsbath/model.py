@@ -231,7 +231,9 @@ def interaction_phases(spec: SystemSpec, t: float | np.ndarray) -> np.ndarray:
     the interaction picture at time t, shaped like
     :func:`interaction_coupling`."""
     gaps = spec.energies[:, None] - spec.energies[None, :]
-    return np.exp(-1j * gaps * t)
+    phases = -1j * gaps * t
+    # in place: a stack of phases for many times takes one array's memory
+    return np.exp(phases, out=phases)
 
 
 def interaction_coupling(spec: SystemSpec, t: float | np.ndarray) -> np.ndarray:

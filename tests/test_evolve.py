@@ -7,6 +7,7 @@ from mlsbath import evolve, spectra
 from mlsbath.evolve import EvolutionConfig, IntegrationError, integrate, integrate_batch
 from mlsbath.harness import load_config, run_sweep
 from mlsbath.model import (
+    DensityMatrix,
     SystemSpec,
     build_multilevel,
     build_three_level,
@@ -333,29 +334,76 @@ class TestHistoryPaths:
             integrate(spec, Lorentzian(2e6, 1.5, 1.0), rho0, EvolutionConfig(2.5, 0.01))
 
 
+def random_system(rng, levels):
+    coupling = np.triu(rng.normal(size=(levels, levels)), 1)
+    return SystemSpec(np.sort(rng.uniform(0.0, 5.0, levels)), coupling + coupling.T)
+
+
+def random_complex(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def full_basis_map(spec, f_newest, f_ahead, dt, iterations):
+    """The block map of evolve._tabulate, tabulated by evolve._block on all
+    (B + 2) M^2 basis inputs rather than assembled from 3 M^2 of them."""
+    rows, block = f_ahead.shape
+    m = spec.n_levels
+    width = (block + 2) * m * m
+    basis = np.eye(width, dtype=complex).reshape(width, block + 2, m, m)
+    couplings = interaction_coupling(spec, dt * np.arange(1, block + 1)[:, None, None])
+    out = evolve._block(spec.coupling, couplings, f_newest[:, None],
+                        f_ahead[:, None, :, None, None], basis[:, 0], basis[:, 1], basis[:, 2:],
+                        dt, iterations)
+    kept = np.r_[:block, 2 * block - 1 : 4 * block]
+    return out[:, :, kept].reshape(rows, width, -1).transpose(0, 2, 1)
+
+
 class TestStepMap:
+    @pytest.mark.parametrize("levels", [2, 3, 5, 8])
+    @pytest.mark.parametrize("iterations", [1, 2, 3])
+    @pytest.mark.parametrize("long_run", [True, False])
+    def test_assembled_map_matches_full_basis(self, levels, iterations, long_run):
+        # the map assembled from the 3 M^2 inputs' responses against _block
+        # on every basis input; two rows with their own F, B from
+        # _block_steps on a long run, and B = 1
+        rng = np.random.default_rng(levels * 10 + iterations)
+        spec = random_system(rng, levels)
+        dt = 0.002
+        block = evolve._block_steps(levels, 2 * evolve.BLOCK_BUDGET) if long_run else 1
+        f_newest = 0.5 * dt * random_complex(rng, 2, 1, 1)
+        f_ahead = random_complex(rng, 2, block)
+        couplings = interaction_coupling(spec, dt * np.arange(1, block + 1)[:, None, None])
+        got = evolve._tabulate(spec, couplings, f_newest, f_ahead, dt, iterations)
+        want = full_basis_map(spec, f_newest, f_ahead, dt, iterations)
+        assert got.shape == want.shape == (2, (3 * block + 1) * levels**2, (block + 2) * levels**2)
+        # column by column: the response to each basis input
+        scale = np.maximum(1.0, np.abs(want).max(axis=1))
+        assert np.all(np.abs(got - want).max(axis=1) <= 1e-14 * scale)
+
     @pytest.mark.parametrize("levels", [2, 3, 5, 8, 10])
     @pytest.mark.parametrize("iterations", [1, 2, 3])
     def test_block_map_matches_structured_step(self, levels, iterations):
         # one block from a start at t0, tabulated up to 8 levels and on the
         # state above, against B structured steps in the interaction
         # picture; two rows with their own F; inputs neither Hermitian nor
-        # traceless
+        # traceless.  The map takes its inputs in the frame of the block
+        # start and returns the increments in it, the derivative and the
+        # sides in the frame of the block end
         rng = np.random.default_rng(levels * 10 + iterations)
-        coupling = np.triu(rng.normal(size=(levels, levels)), 1)
-        spec = SystemSpec(np.sort(rng.uniform(0.0, 5.0, levels)), coupling + coupling.T)
+        spec = random_system(rng, levels)
         dt, t0 = 0.002, 1.11
         block = evolve._block_steps(levels, 2 * evolve.BLOCK_BUDGET)
 
-        def random_complex(*shape):
-            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-        f_newest = 0.5 * dt * random_complex(2, 1, 1)
-        f_ahead = random_complex(2, block)
-        s, d = random_complex(2, levels, levels), random_complex(2, levels, levels)
-        hist = random_complex(2, block, levels, levels)
-        advance = evolve._block_map(spec, f_newest, f_ahead, dt, iterations)
-        got = advance(interaction_phases(spec, t0), s, d, hist)
+        f_newest = 0.5 * dt * random_complex(rng, 2, 1, 1)
+        f_ahead = random_complex(rng, 2, block)
+        s, d = random_complex(rng, 2, levels, levels), random_complex(rng, 2, levels, levels)
+        hist = random_complex(rng, 2, block, levels, levels)
+        turn = np.conj(interaction_phases(spec, block * dt))
+        advance = evolve._block_map(spec, f_newest, f_ahead, turn, dt, iterations)
+        start = interaction_phases(spec, t0)
+        end = interaction_phases(spec, t0 + block * dt)
+        out = advance(np.concatenate((s[:, None], d[:, None], hist), axis=1) * np.conj(start))
+        got = np.concatenate((out[:, :block] * start, out[:, -2 * block - 1 :] * end), axis=1)
 
         v = interaction_coupling(spec, t0)
         lefts, rights, increments = [v @ s], [s @ v], [np.zeros_like(s)]
@@ -374,6 +422,26 @@ class TestStepMap:
         for k in range(want.shape[1]):
             w, g = want[:, k], got[:, k]
             assert np.max(np.abs(g - w)) <= 1e-14 * max(1.0, np.max(np.abs(w)))
+
+    @pytest.mark.parametrize("levels, steps", [(3, 1), (3, 5), (3, 1443), (10, 13)])
+    def test_partial_blocks_land_in_interaction_picture(self, levels, steps):
+        # a pure state with a coherence between every pair of levels, so
+        # that a state left in a block's frame shows in every entry off
+        # the diagonal.  One step, five steps at B = 1, and a partial last
+        # block at B = 8 on three and on ten levels
+        spec = build_three_level() if levels == 3 else build_multilevel(levels, delta=5.0)
+        rng = np.random.default_rng(steps)
+        psi = random_complex(rng, levels)
+        psi /= np.linalg.norm(psi)
+        rho0 = DensityMatrix(np.outer(psi, psi.conj()))
+        model = Rectangular(5.0, 4.0, 10.0)
+        cfg = EvolutionConfig(steps * 0.002, 0.002)
+        assert cfg.n_steps == steps
+        traj = integrate(spec, model, rho0, cfg)
+        oracle = full_history_integrate(spec, model, rho0, cfg)
+        assert np.max(np.abs(traj.states - oracle)) <= 1e-12
+        # the frames differ by far more than the bound
+        assert np.max(np.abs(interaction_phases(spec, traj.times[-1]) - 1.0)) > 1e-3
 
     @pytest.mark.parametrize(
         "levels, steps, block",
