@@ -21,29 +21,31 @@ sums below against the pairwise form (``kernel_apply`` in
 The integrator is a uniform-grid trapezoidal predictor-corrector with
 no memory truncation: the memory integral uses trapezoidal weights over
 every past step, the outer step an explicit Euler predictor followed by
-trapezoidal corrector iterations.  The kernel action factorizes as ``-[V_t, S1(t) - S2(t)]`` with
-``S1 = integral F V rho`` and ``S2 = integral conj(F) rho V``.
+trapezoidal corrector iterations.  The kernel action factorizes as
+``-[V_t, S1(t) - S2(t)]`` with ``S1 = integral F V rho`` and
+``S2 = integral conj(F) rho V``, which is S1^dagger for Hermitian rho.
 
 Only the newest trapezoid term of S1 - S2 depends on the state being
 corrected; the rest, the history term, comes from the correlator's
 exponential modes ``F(tau) = sum_q c_q e^(lambda_q tau)`` on the grid
 (:func:`~mlsbath.spectra.correlator_modes`, every spectral family): K
-running sums ``G_q <- e^(lambda_q dt) (G_q + w_k V_k rho_k)`` give the
-history term as ``sum_q c_q G_q``, O(K M^2) per step and O(n_steps) in
-total.  A row whose correlator has no modes within bounds on the grid
-does not step and gets an IntegrationError.  The O(n_steps^2) sum over
-every stored step, which the mode path is tested against, is
-``full_history_integrate`` in ``tests/oracles.py``.
+running sums ``G_q <- e^(lambda_q dt) (G_q + w_k V_k rho_k)`` give S1's
+part ``Z = sum_q c_q G_q`` and the history term as ``Z - Z^dagger``,
+O(K M^2) per step and O(n_steps) in total.  A row whose correlator has
+no modes within bounds on the grid does not step and gets an
+IntegrationError.  The O(n_steps^2) sum over every stored step, which
+the mode path is tested against, is ``full_history_integrate`` in
+``tests/oracles.py``.
 
 The integrator advances B steps at a time (:func:`_block`).  The history
 term at step i + j of a block from i splits in two: the old steps' part,
 which the mode sums at the block start carry forward,
 ``sum_q c_q e^(lambda_q (j+1) dt) G_q``, and the block's own steps
-k <= j, ``dt F((j+1-k) dt) V rho_k`` with F from the same modes; ``V rho``
-and ``rho V`` at the block's steps then carry the mode sums past the block
-in one product per side.  The stored state is ``rho_i`` plus an increment
-summed from the steps' increments, so no 1 + O(dt) entry rounds the state
-the same way on every step.
+k <= j, ``dt F((j+1-k) dt) V rho_k`` and its ``rho V`` counterpart with F
+from the same modes; ``V rho`` at the block's steps then carries the mode
+sums past the block in one product.  The stored state is ``rho_i`` plus
+an increment summed from the steps' increments, so no 1 + O(dt) entry
+rounds the state the same way on every step.
 
 A block is linear in (rho_i, its derivative, the old-history terms), and
 only the coupling changes with time, as ``V_t = Phi_t * V_0`` entrywise
@@ -57,7 +59,7 @@ interaction picture (:func:`_run_blocks`).  Rows of up to
 ``TABULATED_LEVELS`` = 8 levels tabulate the map once, from its responses
 to the 3 M^2 inputs rho_i, its derivative and the first history term
 (:func:`_tabulate`), and apply it as one matrix-vector product per block,
-B (:func:`_block_steps`) balancing the map's (3 B + 1)(B + 2) M^4 entries
+B (:func:`_block_steps`) balancing the map's (2 B + 1)(B + 2) M^4 entries
 against the numpy calls it saves.  Larger rows run the block's steps on
 the state itself, ``UNTABULATED_BLOCK`` = 8 at a time, with the couplings
 ``Phi_j * V_0`` (:func:`_block_map`).
@@ -175,53 +177,49 @@ class _BlockHistory:
     time, in the frame rotated by the phases of the block start: O(B K M^2)
     per row and block.
 
-    At the start i of a block, ``sums[g, 0, q]`` holds
+    At the start i of a block, ``sums[g, q]`` holds
     ``sum_k w_k e^(lambda_q (i - k) dt) V_k rho_k`` over the steps k < i,
-    and ``sums[g, 1, q]`` the same for ``rho_k V_k`` against the modes of
-    conj(F), both times conj(Phi_i) entrywise.  :func:`_block` weighs every
-    step of its block, the start included, by dt, so the sums start at
-    ``-dt/2`` times step 0's terms, which leaves the trapezoid weight dt/2
-    on it.  ``decay`` carries the sums over a block and, by ``turn`` =
-    conj(Phi_B), into the frame of the next block start.
+    times conj(Phi_i) entrywise; the sums of ``rho_k V_k`` are their
+    adjoint (:meth:`terms`).  :func:`_block` weighs every step of its
+    block, the start included, by dt, so the sums start at ``-dt/2`` times
+    step 0's term, which leaves the trapezoid weight dt/2 on it.  ``decay``
+    carries the sums over a block and, by ``turn`` = conj(Phi_B), into the
+    frame of the next block start.
     """
 
-    def __init__(self, modes: list[ExpModes], dt: float, block: int, turn, left, right):
-        g, k = len(modes), len(modes[0].rates)
-        rates = np.array([mode.rates for mode in modes])[:, None, None, :]
-        rates = np.concatenate([rates, np.conj(rates)], axis=1)  # (G, 2, 1, K)
-        coeffs = np.array([mode.coeffs for mode in modes])[:, None, None, :]
-        coeffs = np.concatenate([coeffs, -np.conj(coeffs)], axis=1)
+    def __init__(self, modes: list[ExpModes], dt: float, block: int, turn, left):
+        rates = np.array([mode.rates for mode in modes])[:, None, :]  # (G, 1, K)
+        coeffs = np.array([mode.coeffs for mode in modes])[:, None, :]
         lags = dt * np.arange(1, block + 1)[:, None]  # (B, 1)
-        # ahead[g, j] holds c_q e^(lambda_q (j + 1) dt) for the modes of F,
-        # then -conj of it for those of conj(F): one product with the sums
-        # gives the old steps' part of every history term of the block
-        self.ahead = (coeffs * np.exp(rates * lags)).transpose(0, 2, 1, 3).reshape(g, block, 2 * k)
-        # weights[g, side, q, l] = dt e^(lambda_q (B - l) dt) for step l of a block
-        rates = rates.transpose(0, 1, 3, 2)
+        # ahead[g, j, q] = c_q e^(lambda_q (j + 1) dt): its product with the
+        # sums is Z, S1's part of the old steps' history term at step j
+        self.ahead = coeffs * np.exp(rates * lags)
+        # weights[g, q, l] = dt e^(lambda_q (B - l) dt) for step l of a block
+        rates = rates.transpose(0, 2, 1)
         self.weights = dt * np.exp(rates * lags[::-1, 0])
-        self.decay = np.exp(rates * (block * dt)) * turn.reshape(-1)  # (G, 2, K, M^2)
-        seed = -0.5 * dt * np.stack([left, right], axis=1).reshape(g, 2, 1, -1)
-        self.sums = np.repeat(seed, k, axis=2)
+        self.decay = np.exp(rates * (block * dt)) * turn.reshape(-1)  # (G, K, M^2)
+        self.sums = np.repeat(-0.5 * dt * left.reshape(len(modes), 1, -1), rates.shape[1], axis=1)
 
     def correlator(self) -> np.ndarray:
         """F((j + 1) dt) for the steps j of a block from the modes, (G, B)."""
-        return self.ahead[:, :, : self.ahead.shape[2] // 2].sum(axis=2)
+        return self.ahead.sum(axis=2)
 
     def terms(self, out: np.ndarray) -> None:
         """Write the old steps' part of the history term at each step of the
-        block into ``out``, (G, B, M^2)."""
-        g, _, k, mm = self.sums.shape
-        np.matmul(self.ahead, self.sums.reshape(g, 2 * k, mm), out=out)
+        block, Z - Z^dagger for Hermitian states, into ``out``, (G, B, M, M)."""
+        g, block, m, _ = out.shape
+        np.matmul(self.ahead, self.sums, out=out.reshape(g, block, m * m))
+        # np.conj makes Z^dagger a temporary: no entry is read once written
+        out -= np.conj(out.swapaxes(-1, -2))
 
-    def push(self, sides: np.ndarray) -> None:
+    def push(self, lefts: np.ndarray) -> None:
         """Carry the sums past a block, into the next block's frame:
-        ``sides`` holds ``V rho`` at the block's B steps, then ``rho V`` at
-        them, in that frame, (G, 2 B, M, M)."""
-        g, _, _, mm = self.sums.shape
-        sides = sides.reshape(g, 2, -1, mm)
+        ``lefts`` holds ``V rho`` at the block's B steps in that frame,
+        (G, B, M, M)."""
+        lefts = lefts.reshape(self.sums.shape[0], -1, self.sums.shape[2])
         # at B = 1 the product is an outer product, which a broadcast
         # multiply forms without the cost of a BLAS call
-        fresh = self.weights * sides if sides.shape[2] == 1 else self.weights @ sides
+        fresh = self.weights * lefts if lefts.shape[1] == 1 else self.weights @ lefts
         self.sums *= self.decay
         self.sums += fresh
 
@@ -233,8 +231,7 @@ def _step(v, f_newest, s, d, hist, dt: float, iterations: int) -> tuple:
     leading batch axes.
 
     Returns the increment ``nxt - s``, the derivative at ``nxt``, and
-    ``v nxt`` and ``nxt v`` for the history sums.  Each is linear in
-    (s, d, hist).
+    ``v nxt`` and ``nxt v``.  Each is linear in (s, d, hist).
     """
     half = 0.5 * dt
     f_newest_conj = np.conj(f_newest)
@@ -264,19 +261,19 @@ def _block(coupling, couplings, f_newest, f_ahead, s, d, hist, dt: float,
     ``f_ahead[..., j, :, :]`` is F((j + 1) dt); every argument but the
     couplings may carry leading batch axes.
 
-    Returns ``out`` (..., 4 B, M, M): for j = 1..B, ``out[..., j - 1, :, :]``
+    Returns ``out`` (..., 3 B, M, M): for j = 1..B, ``out[..., j - 1, :, :]``
     is ``rho_(i+j) - rho_i`` and ``out[..., B + j - 1, :, :]`` the
     derivative at step i + j; ``out[..., 2 B:, :, :]`` holds ``V rho`` at
-    steps i..i+B-1, then ``rho V`` at them, for :meth:`_BlockHistory.push`.
-    Each column is linear in (s, d, hist).
+    steps i..i+B-1, for :meth:`_BlockHistory.push`.  Each column is
+    complex-linear in (s, d, hist), Hermitian or not, as :func:`_tabulate` needs.
     """
     block, m = couplings.shape[:2]
     batch = np.broadcast_shapes(s.shape[:-2], f_newest.shape[:-2])
-    out = np.empty(batch + (4 * block, m, m), dtype=complex)
+    out = np.empty(batch + (3 * block, m, m), dtype=complex)
     increments = out[..., :block, :, :]
     derivatives = out[..., block : 2 * block, :, :]
-    lefts = out[..., 2 * block : 3 * block, :, :]
-    rights = out[..., 3 * block :, :, :]
+    lefts = out[..., 2 * block :, :, :]
+    rights = np.empty_like(lefts)
     lefts[..., 0, :, :] = coupling @ s
     rights[..., 0, :, :] = s @ coupling
     weights = dt * f_ahead
@@ -302,7 +299,7 @@ def _block(coupling, couplings, f_newest, f_ahead, s, d, hist, dt: float,
 def _tabulate(spec: SystemSpec, couplings, f_newest, f_ahead, dt: float,
               iterations: int) -> np.ndarray:
     """:func:`_block` in a block start's frame as one matrix per row,
-    (R, (3 B + 1) M^2, (B + 2) M^2): it takes rho_i, its derivative and the
+    (R, (2 B + 1) M^2, (B + 2) M^2): it takes rho_i, its derivative and the
     B history terms to :func:`_block`'s columns without the derivatives
     before step i + B.  ``couplings`` are the couplings ``Phi_j * V_0`` at
     the block's steps 1..B, ``f_newest`` and ``f_ahead`` as in
@@ -325,17 +322,16 @@ def _tabulate(spec: SystemSpec, couplings, f_newest, f_ahead, dt: float,
     out = _block(spec.coupling, couplings, f_newest[:, None], f_ahead[:, None, :, None, None],
                  basis[:, 0], basis[:, 1], hist, dt, iterations)
     # response[r, input, input entry, column, column entry]
-    response = out.reshape(rows, 3, p, 4 * block, p)
-    maps = np.zeros((rows, block + 2, p, 3 * block + 1, p), dtype=complex)
-    maps[:, :2] = response[:, :2, :, np.r_[: block, 2 * block - 1 : 4 * block]]
+    response = out.reshape(rows, 3, p, 3 * block, p)
+    maps = np.zeros((rows, block + 2, p, 2 * block + 1, p), dtype=complex)
+    maps[:, :2] = response[:, :2, :, np.r_[: block, 2 * block - 1 : 3 * block]]
     phases = interaction_phases(spec, dt * np.arange(block)[:, None, None]).reshape(block, p)
     for j, phase in enumerate(phases):
         delayed = response[:, 2] * np.multiply.outer(np.conj(phase), phase)[:, None]
         history = maps[:, 2 + j]
         history[:, :, j:block] = delayed[:, :, : block - j]
         history[:, :, block] = delayed[:, :, 2 * block - 1 - j]
-        history[:, :, block + 1 + j : 2 * block + 1] = delayed[:, :, 2 * block : 3 * block - j]
-        history[:, :, 2 * block + 1 + j :] = delayed[:, :, 3 * block : 4 * block - j]
+        history[:, :, block + 1 + j :] = delayed[:, :, 2 * block : 3 * block - j]
     # a matrix-vector product gives the same bytes on any number of BLAS
     # threads, a vector-matrix product does not
     return np.ascontiguousarray(maps.reshape(rows, (block + 2) * p, -1).transpose(0, 2, 1))
@@ -349,9 +345,9 @@ def _block_map(spec: SystemSpec, f_newest: np.ndarray, f_ahead: np.ndarray, turn
     (R, B).  ``z`` (R, B + 2, M, M) holds rho_i, its derivative and the
     history terms of :meth:`_BlockHistory.terms`, all in that frame.
     ``advance`` returns the increments ``out[:, :B]`` in that frame, and
-    the derivative at step i + B ``out[:, -2 B - 1]`` and the sides
-    ``out[:, -2 B:]`` of :func:`_block` turned by ``turn`` = conj(Phi_B)
-    into the frame of step i + B.
+    the derivative at step i + B ``out[:, -B - 1]`` and ``V rho`` at the
+    block's steps ``out[:, -B:]`` turned by ``turn`` = conj(Phi_B) into
+    the frame of step i + B.
 
     In the frame rotated by Phi_i the coupling at step i + j is
     ``Phi_j * V_0``, the same for every block, so the B steps are one fixed
@@ -370,13 +366,13 @@ def _block_map(spec: SystemSpec, f_newest: np.ndarray, f_ahead: np.ndarray, turn
         def advance(z):
             out = _block(coupling, couplings, f_newest, f_ahead, z[:, 0], z[:, 1], z[:, 2:],
                          dt, iterations)
-            out[:, -2 * block - 1 :] *= turn
+            out[:, -block - 1 :] *= turn
             return out
 
         return advance
 
     maps = _tabulate(spec, couplings, f_newest, f_ahead, dt, iterations)
-    maps.reshape(rows, 3 * block + 1, m * m, -1)[:, block:] *= turn.reshape(-1, 1)
+    maps.reshape(rows, 2 * block + 1, m * m, -1)[:, block:] *= turn.reshape(-1, 1)
 
     def advance(z):
         return (maps @ z.reshape(rows, -1, 1)).reshape(rows, -1, m, m)
@@ -400,9 +396,10 @@ def _run_blocks(spec: SystemSpec, modes: list[ExpModes], f_newest: np.ndarray,
     """Fill ``states[:, 1:]`` of rows with the same number of ``modes`` B
     steps at a time by :func:`_block_map`; the last block may be partial.
 
-    The loop carries the state, its derivative and the mode sums in the
-    frame of the block start i, and stores the block's states i..i+B-1 in
-    it; a full block turns its last state into the next block's frame.
+    The loop carries the state, its derivative and the mode sums of V rho
+    in the frame of the block start i, and stores the block's states
+    i..i+B-1 in it; a full block turns its last state into the next
+    block's frame and pushes its B columns of V rho into the sums.
     One multiply by Phi at the block starts, after the last block, rotates
     every stored state into the interaction picture.
     """
@@ -410,15 +407,13 @@ def _run_blocks(spec: SystemSpec, modes: list[ExpModes], f_newest: np.ndarray,
     m = spec.n_levels
     block = _block_steps(m, n)
     turn = np.conj(interaction_phases(spec, block * cfg.dt))
-    left = spec.coupling @ states[:, 0]
-    right = states[:, 0] @ spec.coupling
-    history = _BlockHistory(modes, cfg.dt, block, turn, left, right)
+    history = _BlockHistory(modes, cfg.dt, block, turn, spec.coupling @ states[:, 0])
     advance = _block_map(spec, f_newest, history.correlator(), turn, cfg.dt,
                          cfg.corrector_iterations)
     # the input of every block: rho_i, its derivative and the history terms
     z = np.zeros((rows, block + 2, m, m), dtype=complex)
     z[:, 0] = states[:, 0]
-    terms = z.reshape(rows, block + 2, m * m)[:, 2:]
+    terms = z[:, 2:]
     for i in range(0, n, block):
         history.terms(out=terms)
         out = advance(z)
@@ -428,8 +423,8 @@ def _run_blocks(spec: SystemSpec, modes: list[ExpModes], f_newest: np.ndarray,
             break
         np.multiply(states[:, stop], turn, out=z[:, 0])
         states[:, stop] = z[:, 0]
-        z[:, 1] = out[:, -2 * block - 1]
-        history.push(out[:, -2 * block :])
+        z[:, 1] = out[:, -block - 1]
+        history.push(out[:, -block:])
 
     phases = interaction_phases(spec, times[::block, None, None])
     full = n - n % block
@@ -476,7 +471,9 @@ def integrate_batch(
     levels and on the state itself above (:func:`_block_map`), and stores
     every step.  The points of an area or center sweep have one K, so they
     share one loop; a mixed batch runs one loop after another.  Each row's
-    arithmetic is the same whatever rows run beside it.
+    arithmetic is the same whatever rows run beside it.  The history sums
+    take the states as Hermitian (:class:`_BlockHistory`), though
+    ``DensityMatrix`` lets ``rho0`` through with a defect of up to 1e-10.
 
     Returns each row's Trajectory, in the order of ``models``, or an
     IntegrationError: before stepping, from

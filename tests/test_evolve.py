@@ -354,7 +354,7 @@ def full_basis_map(spec, f_newest, f_ahead, dt, iterations):
     out = evolve._block(spec.coupling, couplings, f_newest[:, None],
                         f_ahead[:, None, :, None, None], basis[:, 0], basis[:, 1], basis[:, 2:],
                         dt, iterations)
-    kept = np.r_[:block, 2 * block - 1 : 4 * block]
+    kept = np.r_[:block, 2 * block - 1 : 3 * block]
     return out[:, :, kept].reshape(rows, width, -1).transpose(0, 2, 1)
 
 
@@ -375,7 +375,7 @@ class TestStepMap:
         couplings = interaction_coupling(spec, dt * np.arange(1, block + 1)[:, None, None])
         got = evolve._tabulate(spec, couplings, f_newest, f_ahead, dt, iterations)
         want = full_basis_map(spec, f_newest, f_ahead, dt, iterations)
-        assert got.shape == want.shape == (2, (3 * block + 1) * levels**2, (block + 2) * levels**2)
+        assert got.shape == want.shape == (2, (2 * block + 1) * levels**2, (block + 2) * levels**2)
         # column by column: the response to each basis input
         scale = np.maximum(1.0, np.abs(want).max(axis=1))
         assert np.all(np.abs(got - want).max(axis=1) <= 1e-14 * scale)
@@ -387,8 +387,8 @@ class TestStepMap:
         # state above, against B structured steps in the interaction
         # picture; two rows with their own F; inputs neither Hermitian nor
         # traceless.  The map takes its inputs in the frame of the block
-        # start and returns the increments in it, the derivative and the
-        # sides in the frame of the block end
+        # start and returns the increments in it, the derivative and V rho
+        # in the frame of the block end
         rng = np.random.default_rng(levels * 10 + iterations)
         spec = random_system(rng, levels)
         dt, t0 = 0.002, 1.11
@@ -403,7 +403,7 @@ class TestStepMap:
         start = interaction_phases(spec, t0)
         end = interaction_phases(spec, t0 + block * dt)
         out = advance(np.concatenate((s[:, None], d[:, None], hist), axis=1) * np.conj(start))
-        got = np.concatenate((out[:, :block] * start, out[:, -2 * block - 1 :] * end), axis=1)
+        got = np.concatenate((out[:, :block] * start, out[:, -block - 1 :] * end), axis=1)
 
         v = interaction_coupling(spec, t0)
         lefts, rights, increments = [v @ s], [s @ v], [np.zeros_like(s)]
@@ -417,7 +417,7 @@ class TestStepMap:
             increments.append(increments[-1] + delta)
             lefts.append(left)
             rights.append(right)
-        want = np.stack(increments[1:] + [d] + lefts[:-1] + rights[:-1], axis=1)
+        want = np.stack(increments[1:] + [d] + lefts[:-1], axis=1)
         assert got.shape == want.shape
         for k in range(want.shape[1]):
             w, g = want[:, k], got[:, k]
@@ -481,6 +481,44 @@ class TestStepMap:
         monkeypatch.setattr(evolve, "TABULATED_LEVELS", 0)
         untabulated = integrate(spec, model, rho0, cfg)
         assert np.max(np.abs(tabulated.states - untabulated.states)) <= 1e-14
+
+    @pytest.mark.parametrize("levels", [3, 10])
+    def test_history_terms_exactly_anti_hermitian(self, levels, monkeypatch):
+        # the history term is Z - Z^dagger, formed from one side of sums:
+        # anti-Hermitian bit for bit after every push, on the tabulated map
+        # (3 levels) and on the steps on the state (10 levels), both at B = 8
+        seen = []
+        terms = evolve._BlockHistory.terms
+
+        def recorded(history, out):
+            terms(history, out)
+            seen.append(out.copy())
+
+        monkeypatch.setattr(evolve._BlockHistory, "terms", recorded)
+        spec = build_three_level() if levels == 3 else build_multilevel(levels, delta=5.0)
+        rho0 = initial_density(default_initial_state(), levels)
+        cfg = EvolutionConfig(1440 * 0.002, 0.002)
+        assert evolve._block_steps(levels, cfg.n_steps) == 8
+        integrate(spec, Rectangular(5.0, 4.0, 10.0), rho0, cfg)
+        assert len(seen) == 180
+        assert np.abs(seen[-1]).max() > 0
+        for t in seen:
+            assert np.array_equal(t, -t.conj().swapaxes(-1, -2))
+
+    @pytest.mark.parametrize("levels", [3, 10])
+    def test_hermiticity_defect_at_tolerance_matches_full_history(self, levels):
+        # DensityMatrix accepts a Hermiticity defect up to 1e-10, which the
+        # one-sided history sums treat as Hermitian; the two-sided oracle
+        # sums rho V itself
+        spec = build_three_level() if levels == 3 else build_multilevel(levels, delta=5.0)
+        entries = initial_density(default_initial_state(), levels).entries.copy()
+        entries[0, 2] += 5e-11j
+        rho0 = DensityMatrix(entries)
+        model = Rectangular(5.0, 4.0, 8.0)
+        cfg = EvolutionConfig(2.5, 0.002)
+        traj = integrate(spec, model, rho0, cfg)
+        oracle = full_history_integrate(spec, model, rho0, cfg)
+        assert np.max(np.abs(traj.states - oracle)) <= 1e-11
 
 
 class TestBatch:
