@@ -22,8 +22,11 @@ The integrator is a uniform-grid trapezoidal predictor-corrector with
 no memory truncation: the memory integral uses trapezoidal weights over
 every past step, the outer step an explicit Euler predictor followed by
 trapezoidal corrector iterations.  The kernel action factorizes as
-``-[V_t, S1(t) - S2(t)]`` with ``S1 = integral F V rho`` and
-``S2 = integral conj(F) rho V``, which is S1^dagger for Hermitian rho.
+``-[V_t, X]`` with X = S1 - S2, ``S1 = integral F V rho`` and
+``S2 = integral conj(F) rho V``, which is S1^dagger for Hermitian rho.  So
+X is anti-Hermitian and -[V, X] = Y + Y^dagger with Y = X V: a step forms
+V rho and X V once, takes rho V and V X as their adjoints (:func:`_step`)
+and returns a derivative Hermitian bit for bit.
 
 Only the newest trapezoid term of S1 - S2 depends on the state being
 corrected; the rest, the history term, comes from the correlator's
@@ -41,11 +44,11 @@ The integrator advances B steps at a time (:func:`_block`).  The history
 term at step i + j of a block from i splits in two: the old steps' part,
 which the mode sums at the block start carry forward,
 ``sum_q c_q e^(lambda_q (j+1) dt) G_q``, and the block's own steps
-k <= j, ``dt F((j+1-k) dt) V rho_k`` and its ``rho V`` counterpart with F
-from the same modes; ``V rho`` at the block's steps then carries the mode
-sums past the block in one product.  The stored state is ``rho_i`` plus
-an increment summed from the steps' increments, so no 1 + O(dt) entry
-rounds the state the same way on every step.
+k <= j, W - W^dagger with W = sum_k dt F((j+1-k) dt) V rho_k; ``V rho``
+at the block's steps then carries the mode sums past the block in one
+product.  The stored state is ``rho_i`` plus an increment summed from the
+steps' increments, so no 1 + O(dt) entry rounds the state the same way on
+every step.
 
 A block is linear in (rho_i, its derivative, the old-history terms), and
 only the coupling changes with time, as ``V_t = Phi_t * V_0`` entrywise
@@ -57,12 +60,13 @@ map hands the next block its inputs turned by conj(Phi_B), and one
 multiply after the last block rotates the stored states into the
 interaction picture (:func:`_run_blocks`).  Rows of up to
 ``TABULATED_LEVELS`` = 8 levels tabulate the map once, from its responses
-to the 3 M^2 inputs rho_i, its derivative and the first history term
-(:func:`_tabulate`), and apply it as one matrix-vector product per block,
-B (:func:`_block_steps`) balancing the map's (2 B + 1)(B + 2) M^4 entries
-against the numpy calls it saves.  Larger rows run the block's steps on
-the state itself, ``UNTABULATED_BLOCK`` = 8 at a time, with the couplings
-``Phi_j * V_0`` (:func:`_block_map`).
+to the Hermitian basis h_ab as rho_i and as its derivative and to i h_ab
+as the first history term, which one gather turns into those to the unit
+matrices (:func:`_tabulate`), and apply it as one matrix-vector product
+per block, B (:func:`_block_steps`) balancing the map's
+(2 B + 1)(B + 2) M^4 entries against the numpy calls it saves.  Larger
+rows run the block's steps on the state itself, ``UNTABULATED_BLOCK`` = 8
+at a time, with the couplings ``Phi_j * V_0`` (:func:`_block_map`).
 
 Every array of the stepping loop has a leading batch axis over rows that
 share the system, the initial state and the grid and differ only in their
@@ -172,6 +176,11 @@ class Trajectory:
         return 1.0 - np.real(self.states[:, 0, 0] + self.states[:, 1, 1])
 
 
+def _adjoint(x: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of every matrix in ``x``, as a new array."""
+    return np.conj(x.swapaxes(-1, -2))
+
+
 class _BlockHistory:
     """History terms of G rows from K exponential modes each, B steps at a
     time, in the frame rotated by the phases of the block start: O(B K M^2)
@@ -209,8 +218,8 @@ class _BlockHistory:
         block, Z - Z^dagger for Hermitian states, into ``out``, (G, B, M, M)."""
         g, block, m, _ = out.shape
         np.matmul(self.ahead, self.sums, out=out.reshape(g, block, m * m))
-        # np.conj makes Z^dagger a temporary: no entry is read once written
-        out -= np.conj(out.swapaxes(-1, -2))
+        # Z^dagger is a new array: no entry is read once written
+        out -= _adjoint(out)
 
     def push(self, lefts: np.ndarray) -> None:
         """Carry the sums past a block, into the next block's frame:
@@ -228,44 +237,41 @@ def _step(v, f_newest, s, d, hist, dt: float, iterations: int) -> tuple:
     """One predictor-corrector step from the state ``s``, whose derivative
     is ``d``, under the history term ``hist``, in a frame where the
     coupling at the new time is ``v``; every argument but ``v`` may carry
-    leading batch axes.
-
-    Returns the increment ``nxt - s``, the derivative at ``nxt``, and
-    ``v nxt`` and ``nxt v``.  Each is linear in (s, d, hist).
+    leading batch axes.  ``s`` and ``d`` must be Hermitian and ``hist``
+    anti-Hermitian, as :func:`integrate` gives them: then X = hist +
+    f V rho - (f V rho)^dagger, and a pass forms V rho and Y = X V once and
+    the derivative -[V, X] as Y + Y^dagger, Hermitian bit for bit.  Returns
+    the increment ``nxt - s``, the derivative at ``nxt`` and ``v nxt``.
     """
-    half = 0.5 * dt
-    f_newest_conj = np.conj(f_newest)
 
-    def derivative(left, right) -> np.ndarray:
-        """-[V, S1 - S2] from the history term and V rho, rho V."""
-        x = hist + (f_newest * left - f_newest_conj * right)
-        return x @ v - v @ x
+    def derivative(left) -> np.ndarray:
+        """-[V, X] = Y + Y^dagger from the history term and V rho."""
+        newest = f_newest * left
+        y = (hist + (newest - _adjoint(newest))) @ v
+        return y + _adjoint(y)
 
     delta = dt * d
     for _ in range(iterations):
-        nxt = s + delta
-        delta = half * (d + derivative(v @ nxt, nxt @ v))
-    nxt = s + delta
-    left = v @ nxt
-    right = nxt @ v
-    return delta, derivative(left, right), left, right
+        delta = 0.5 * dt * (d + derivative(v @ (s + delta)))
+    left = v @ (s + delta)
+    return delta, derivative(left), left
 
 
 def _block(coupling, couplings, f_newest, f_ahead, s, d, hist, dt: float,
            iterations: int) -> np.ndarray:
-    """The B = ``len(couplings)`` steps from a block start i, in a frame
-    where the coupling is ``coupling`` at step i and ``couplings[j]`` at
-    step i + j + 1.  ``s`` and ``d`` are rho_i and its derivative,
-    ``hist[..., j, :, :]`` is the old steps' part of the history term at
-    step j of the block (:meth:`_BlockHistory.terms`) and
+    """The B = ``len(couplings)`` steps of :func:`_step` from a block start
+    i, in a frame where the coupling is ``coupling`` at step i and
+    ``couplings[j]`` at step i + j + 1.  ``s`` and ``d`` are rho_i and its
+    derivative, ``hist[..., j, :, :]`` is the old steps' part of the
+    history term at step j of the block (:meth:`_BlockHistory.terms`) and
     ``f_ahead[..., j, :, :]`` is F((j + 1) dt); every argument but the
-    couplings may carry leading batch axes.
+    couplings may carry leading batch axes.  The block's own steps k <= j
+    add W - W^dagger to that term, W = sum_k dt F((j + 1 - k) dt) V rho_k.
 
     Returns ``out`` (..., 3 B, M, M): for j = 1..B, ``out[..., j - 1, :, :]``
     is ``rho_(i+j) - rho_i`` and ``out[..., B + j - 1, :, :]`` the
     derivative at step i + j; ``out[..., 2 B:, :, :]`` holds ``V rho`` at
-    steps i..i+B-1, for :meth:`_BlockHistory.push`.  Each column is
-    complex-linear in (s, d, hist), Hermitian or not, as :func:`_tabulate` needs.
+    steps i..i+B-1, for :meth:`_BlockHistory.push`.
     """
     block, m = couplings.shape[:2]
     batch = np.broadcast_shapes(s.shape[:-2], f_newest.shape[:-2])
@@ -273,25 +279,19 @@ def _block(coupling, couplings, f_newest, f_ahead, s, d, hist, dt: float,
     increments = out[..., :block, :, :]
     derivatives = out[..., block : 2 * block, :, :]
     lefts = out[..., 2 * block :, :, :]
-    rights = np.empty_like(lefts)
     lefts[..., 0, :, :] = coupling @ s
-    rights[..., 0, :, :] = s @ coupling
-    weights = dt * f_ahead
-    weights_conj = np.conj(weights)
     here = s
     for j in range(block):
-        # the block's own steps 0..j, weighed by F((j + 1 - k) dt) dt
-        own = (weights[..., j::-1, :, :] * lefts[..., : j + 1, :, :]).sum(axis=-3)
-        own -= (weights_conj[..., j::-1, :, :] * rights[..., : j + 1, :, :]).sum(axis=-3)
+        own = (dt * f_ahead[..., j::-1, :, :] * lefts[..., : j + 1, :, :]).sum(axis=-3)
+        own -= _adjoint(own)
         own += hist[..., j, :, :]
-        delta, d, left, right = _step(couplings[j], f_newest, here, d, own, dt, iterations)
+        delta, d, left = _step(couplings[j], f_newest, here, d, own, dt, iterations)
         if j:
             delta += increments[..., j - 1, :, :]
         increments[..., j, :, :] = delta
         derivatives[..., j, :, :] = d
         if j + 1 < block:
             lefts[..., j + 1, :, :] = left
-            rights[..., j + 1, :, :] = right
         here = s + delta
     return out
 
@@ -305,24 +305,34 @@ def _tabulate(spec: SystemSpec, couplings, f_newest, f_ahead, dt: float,
     the block's steps 1..B, ``f_newest`` and ``f_ahead`` as in
     :func:`_block_map`.
 
-    :func:`_block` runs once, on the 3 M^2 basis inputs of rho_i, its
-    derivative and the first history term.  The response to the unit
-    matrix e_ab as the history term of step j is that to it as the first
-    one, delayed by j steps and rotated by Phi_j * conj(Phi_j[a, b]):
-    Phi_(j+k) = Phi_j * Phi_k entrywise, so the couplings of the delayed
-    steps are those of the first ones rotated by Phi_j.  Its derivative at
-    step i + B is the first one's at step i + B - j.
+    The map is complex-linear, and :func:`_block` computes it on Hermitian
+    rho_i and derivative and anti-Hermitian history terms.  So it runs
+    once, on the 3 M^2 inputs h_ab, h_ab and i h_ab, with the Hermitian
+    basis h_ab = e_ab + e_ba for a <= b and i (e_ba - e_ab) for a > b.  As
+    e_ab is (h_ab - i h_ba) / 2 for a < b, (h_ba + i h_ab) / 2 for a > b and
+    h_aa / 2, one gather and a sign, and a factor -i on the history term,
+    give the responses to e_ab.  That to e_ab as the history term of step
+    j is that to it as the first one, delayed by j steps and rotated by
+    Phi_j * conj(Phi_j[a, b]): Phi_(j+k) = Phi_j * Phi_k entrywise, so the
+    couplings of the delayed steps are those of the first ones rotated by
+    Phi_j.  Its derivative at step i + B is the first one's at step i + B - j.
     """
     rows, block = f_ahead.shape
     m = len(spec.coupling)
     p = m * m
-    basis = np.eye(3 * p, dtype=complex).reshape(3 * p, 3, m, m)
+    a, b = np.divmod(np.arange(p), m)
+    upper = np.where(a <= b, 1, -1j)[:, None, None] * np.eye(p).reshape(p, m, m)
+    herm = upper + _adjoint(upper)  # herm[a m + b] = h_ab
+    basis = np.einsum("kl,pij->kplij", np.diag([1, 1, 1j]), herm).reshape(3 * p, 3, m, m)
     hist = np.zeros((3 * p, block, m, m), dtype=complex)
     hist[:, 0] = basis[:, 2]
     out = _block(spec.coupling, couplings, f_newest[:, None], f_ahead[:, None, :, None, None],
                  basis[:, 0], basis[:, 1], hist, dt, iterations)
-    # response[r, input, input entry, column, column entry]
+    # response[r, input, input entry, column, column entry], to h_ab then e_ab
     response = out.reshape(rows, 3, p, 3 * block, p)
+    low, high = np.minimum(a, b), np.maximum(a, b)
+    response = (response[:, :, low * m + high] + 1j * np.sign(a - b)[:, None, None]
+                * response[:, :, high * m + low]) * np.array([0.5, 0.5, -0.5j])[:, None, None, None]
     maps = np.zeros((rows, block + 2, p, 2 * block + 1, p), dtype=complex)
     maps[:, :2] = response[:, :2, :, np.r_[: block, 2 * block - 1 : 3 * block]]
     phases = interaction_phases(spec, dt * np.arange(block)[:, None, None]).reshape(block, p)
@@ -354,7 +364,7 @@ def _block_map(spec: SystemSpec, f_newest: np.ndarray, f_ahead: np.ndarray, turn
     linear map per row.  Rows of up to ``TABULATED_LEVELS`` levels tabulate
     it once (:func:`_tabulate`), fold the turn into its rows, and apply it
     as one matrix-vector product.  Larger rows run :func:`_block` on the
-    state itself with the couplings ``Phi_j * V_0``.
+    Hermitian state itself, with the couplings ``Phi_j * V_0``.
     """
     rows, block = f_ahead.shape
     coupling = spec.coupling
@@ -472,8 +482,8 @@ def integrate_batch(
     every step.  The points of an area or center sweep have one K, so they
     share one loop; a mixed batch runs one loop after another.  Each row's
     arithmetic is the same whatever rows run beside it.  The history sums
-    take the states as Hermitian (:class:`_BlockHistory`), though
-    ``DensityMatrix`` lets ``rho0`` through with a defect of up to 1e-10.
+    and steps take the states as Hermitian, though ``DensityMatrix`` lets
+    ``rho0`` through with a defect of up to 1e-10.
 
     Returns each row's Trajectory, in the order of ``models``, or an
     IntegrationError: before stepping, from
@@ -535,7 +545,7 @@ def integrate_batch(
                     continue
                 # 512 steps at a time, so that the check's temporaries stay small
                 chunks = np.split(later, range(512, n, 512))
-                defect = max(np.abs(c - c.conj().transpose(0, 2, 1)).max() for c in chunks)
+                defect = max(np.abs(c - _adjoint(c)).max() for c in chunks)
                 results[r] = Trajectory(
                     times=times,
                     states=states[j],

@@ -11,6 +11,11 @@ production path:
 * :func:`full_history_integrate` -- the integrator with its history term
   summed over every stored step, O(n_steps^2), against which the
   exponential-mode history of every spectral family is checked;
+* :func:`two_sided_step` and :func:`two_sided_block` -- the steps of a
+  block with both sides of every product, V rho and rho V, V X and X V,
+  formed: complex-linear in the state, its derivative and the history
+  term, Hermitian or not, against which the one-sided block steps of
+  ``mlsbath.evolve`` and their tabulated map are checked;
 * :func:`graded_ladder` -- the RPA channel sums at each pole shift by
   fixed Gauss-Legendre rules on a mesh graded geometrically towards every
   breakpoint, against which the adaptive Gauss-Kronrod loop of
@@ -194,6 +199,80 @@ def full_history_integrate(
         right = nxt @ v
         d_here = derivative(v, hist, left, right)
     return states
+
+
+def two_sided_step(v, f_newest, s, d, hist, dt: float, iterations: int) -> tuple:
+    """One predictor-corrector step from the state ``s``, whose derivative
+    is ``d``, under the history term ``hist``, in a frame where the
+    coupling at the new time is ``v``; every argument but ``v`` may carry
+    leading batch axes.
+
+    Returns the increment ``nxt - s``, the derivative at ``nxt``, and
+    ``v nxt`` and ``nxt v``.  Each is linear in (s, d, hist).
+    """
+    half = 0.5 * dt
+    f_newest_conj = np.conj(f_newest)
+
+    def derivative(left, right) -> np.ndarray:
+        """-[V, S1 - S2] from the history term and V rho, rho V."""
+        x = hist + (f_newest * left - f_newest_conj * right)
+        return x @ v - v @ x
+
+    delta = dt * d
+    for _ in range(iterations):
+        nxt = s + delta
+        delta = half * (d + derivative(v @ nxt, nxt @ v))
+    nxt = s + delta
+    left = v @ nxt
+    right = nxt @ v
+    return delta, derivative(left, right), left, right
+
+
+def two_sided_block(coupling, couplings, f_newest, f_ahead, s, d, hist, dt: float,
+                    iterations: int) -> np.ndarray:
+    """The B = ``len(couplings)`` steps of :func:`two_sided_step` from a
+    block start i, in a frame where the coupling is ``coupling`` at step i
+    and ``couplings[j]`` at step i + j + 1.  ``s`` and ``d`` are rho_i and its derivative,
+    ``hist[..., j, :, :]`` is the old steps' part of the history term at
+    step j of the block (``_BlockHistory.terms`` in ``mlsbath.evolve``) and
+    ``f_ahead[..., j, :, :]`` is F((j + 1) dt); every argument but the
+    couplings may carry leading batch axes.
+
+    Returns ``out`` (..., 3 B, M, M): for j = 1..B, ``out[..., j - 1, :, :]``
+    is ``rho_(i+j) - rho_i`` and ``out[..., B + j - 1, :, :]`` the
+    derivative at step i + j; ``out[..., 2 B:, :, :]`` holds ``V rho`` at
+    steps i..i+B-1, for ``_BlockHistory.push``.  Each column is
+    complex-linear in (s, d, hist), Hermitian or not, as the tabulated
+    block map is.
+    """
+    block, m = couplings.shape[:2]
+    batch = np.broadcast_shapes(s.shape[:-2], f_newest.shape[:-2])
+    out = np.empty(batch + (3 * block, m, m), dtype=complex)
+    increments = out[..., :block, :, :]
+    derivatives = out[..., block : 2 * block, :, :]
+    lefts = out[..., 2 * block :, :, :]
+    rights = np.empty_like(lefts)
+    lefts[..., 0, :, :] = coupling @ s
+    rights[..., 0, :, :] = s @ coupling
+    weights = dt * f_ahead
+    weights_conj = np.conj(weights)
+    here = s
+    for j in range(block):
+        # the block's own steps 0..j, weighed by F((j + 1 - k) dt) dt
+        own = (weights[..., j::-1, :, :] * lefts[..., : j + 1, :, :]).sum(axis=-3)
+        own -= (weights_conj[..., j::-1, :, :] * rights[..., : j + 1, :, :]).sum(axis=-3)
+        own += hist[..., j, :, :]
+        delta, d, left, right = two_sided_step(couplings[j], f_newest, here, d, own, dt,
+                                               iterations)
+        if j:
+            delta += increments[..., j - 1, :, :]
+        increments[..., j, :, :] = delta
+        derivatives[..., j, :, :] = d
+        if j + 1 < block:
+            lefts[..., j + 1, :, :] = left
+            rights[..., j + 1, :, :] = right
+        here = s + delta
+    return out
 
 
 def _graded_mesh(edges: list[float], first: float, ratio: float) -> np.ndarray:

@@ -26,7 +26,7 @@ from mlsbath.spectra import (
     correlator_table,
 )
 
-from oracles import full_history_integrate, kernel_apply
+from oracles import full_history_integrate, kernel_apply, two_sided_block, two_sided_step
 
 
 def random_hermitian(rng, m):
@@ -343,17 +343,22 @@ def random_complex(rng, *shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
+def adjoint(x):
+    return x.conj().swapaxes(-1, -2)
+
+
 def full_basis_map(spec, f_newest, f_ahead, dt, iterations):
-    """The block map of evolve._tabulate, tabulated by evolve._block on all
-    (B + 2) M^2 basis inputs rather than assembled from 3 M^2 of them."""
+    """The block map of evolve._tabulate, tabulated by the two-sided oracle
+    block on all (B + 2) M^2 unit inputs rather than by evolve._block on
+    3 M^2 Hermitian and anti-Hermitian ones."""
     rows, block = f_ahead.shape
     m = spec.n_levels
     width = (block + 2) * m * m
     basis = np.eye(width, dtype=complex).reshape(width, block + 2, m, m)
     couplings = interaction_coupling(spec, dt * np.arange(1, block + 1)[:, None, None])
-    out = evolve._block(spec.coupling, couplings, f_newest[:, None],
-                        f_ahead[:, None, :, None, None], basis[:, 0], basis[:, 1], basis[:, 2:],
-                        dt, iterations)
+    out = two_sided_block(spec.coupling, couplings, f_newest[:, None],
+                          f_ahead[:, None, :, None, None], basis[:, 0], basis[:, 1], basis[:, 2:],
+                          dt, iterations)
     kept = np.r_[:block, 2 * block - 1 : 3 * block]
     return out[:, :, kept].reshape(rows, width, -1).transpose(0, 2, 1)
 
@@ -363,9 +368,10 @@ class TestStepMap:
     @pytest.mark.parametrize("iterations", [1, 2, 3])
     @pytest.mark.parametrize("long_run", [True, False])
     def test_assembled_map_matches_full_basis(self, levels, iterations, long_run):
-        # the map assembled from the 3 M^2 inputs' responses against _block
-        # on every basis input; two rows with their own F, B from
-        # _block_steps on a long run, and B = 1
+        # the map assembled from the responses to 3 M^2 Hermitian and
+        # anti-Hermitian inputs against the two-sided oracle block on every
+        # unit input; two rows with their own F, B from _block_steps on a
+        # long run, and B = 1
         rng = np.random.default_rng(levels * 10 + iterations)
         spec = random_system(rng, levels)
         dt = 0.002
@@ -384,11 +390,14 @@ class TestStepMap:
     @pytest.mark.parametrize("iterations", [1, 2, 3])
     def test_block_map_matches_structured_step(self, levels, iterations):
         # one block from a start at t0, tabulated up to 8 levels and on the
-        # state above, against B structured steps in the interaction
-        # picture; two rows with their own F; inputs neither Hermitian nor
-        # traceless.  The map takes its inputs in the frame of the block
-        # start and returns the increments in it, the derivative and V rho
-        # in the frame of the block end
+        # state above, against B structured steps of the two-sided oracle in
+        # the interaction picture; two rows with their own F.  The tabulated
+        # map is complex-linear, so its inputs are neither Hermitian nor
+        # traceless; the steps on the state take what integrate gives them,
+        # a Hermitian rho and derivative and an anti-Hermitian history.  The
+        # map takes its inputs in the frame of the block start and returns
+        # the increments in it, the derivative and V rho in the frame of the
+        # block end
         rng = np.random.default_rng(levels * 10 + iterations)
         spec = random_system(rng, levels)
         dt, t0 = 0.002, 1.11
@@ -398,6 +407,9 @@ class TestStepMap:
         f_ahead = random_complex(rng, 2, block)
         s, d = random_complex(rng, 2, levels, levels), random_complex(rng, 2, levels, levels)
         hist = random_complex(rng, 2, block, levels, levels)
+        if levels > evolve.TABULATED_LEVELS:
+            s, d = 0.5 * (s + adjoint(s)), 0.5 * (d + adjoint(d))
+            hist = 0.5 * (hist - adjoint(hist))
         turn = np.conj(interaction_phases(spec, block * dt))
         advance = evolve._block_map(spec, f_newest, f_ahead, turn, dt, iterations)
         start = interaction_phases(spec, t0)
@@ -412,8 +424,8 @@ class TestStepMap:
             own = sum(w * x for w, x in zip(weights, lefts))
             own = own - sum(np.conj(w) * x for w, x in zip(weights, rights))
             v = interaction_coupling(spec, t0 + (j + 1) * dt)
-            delta, d, left, right = evolve._step(v, f_newest, s + increments[-1], d,
-                                                 hist[:, j] + own, dt, iterations)
+            delta, d, left, right = two_sided_step(v, f_newest, s + increments[-1], d,
+                                                   hist[:, j] + own, dt, iterations)
             increments.append(increments[-1] + delta)
             lefts.append(left)
             rights.append(right)
@@ -519,6 +531,20 @@ class TestStepMap:
         traj = integrate(spec, model, rho0, cfg)
         oracle = full_history_integrate(spec, model, rho0, cfg)
         assert np.max(np.abs(traj.states - oracle)) <= 1e-11
+
+    @pytest.mark.parametrize("levels", [10, 20])
+    @pytest.mark.parametrize(
+        "model", [Lorentzian(5.0, 1.5, 1.0), Rectangular(5.0, 4.0, 8.0), PowerGaussian(5.0, -1.0, 2.0)]
+    )
+    def test_states_above_tabulated_levels_exactly_hermitian(self, levels, model):
+        # the steps on the state form every right-hand product as the
+        # adjoint of its left-hand one, so each stored state is Hermitian
+        # bit for bit and the post-run check reads 0
+        spec = build_multilevel(levels, delta=8.0)
+        rho0 = initial_density(default_initial_state(), levels)
+        traj = integrate(spec, model, rho0, EvolutionConfig(1.0, 0.002))
+        assert np.array_equal(traj.states, adjoint(traj.states))
+        assert traj.max_hermiticity_defect == 0.0
 
 
 class TestBatch:
