@@ -6,7 +6,7 @@
 2. At fixed area, the rates barely notice where the spectrum sits or
    which family it comes from.
 
-Run:  python demos/03_area_and_shape_trends.py   (~1 minute)
+Run:  python demos/03_area_and_shape_trends.py   (under a second)
 """
 
 import math

@@ -7,7 +7,7 @@ coupling range, after which the rates saturate.  Truncating such a
 system to its lowest two levels misses both the leakage channel and a
 large part of the relaxation.
 
-Run:  python demos/04_multilevel_saturation.py   (~1 minute)
+Run:  python demos/04_multilevel_saturation.py   (under a second)
 """
 
 from mlsbath import (

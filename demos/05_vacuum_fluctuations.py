@@ -11,7 +11,7 @@ square root, so their ratio falls as area^(-1/2); Delta N is flat under
 width changes at fixed area; more coupled levels excite more modes while
 shrinking the relative fluctuation.
 
-Run:  python demos/05_vacuum_fluctuations.py   (~1 minute)
+Run:  python demos/05_vacuum_fluctuations.py   (under a second)
 """
 
 import math

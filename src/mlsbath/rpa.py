@@ -29,15 +29,22 @@ handled by an imaginary shift ``i*delta`` of the denominators; results
 are Richardson-extrapolated over a ladder of halved shifts, and a
 non-decreasing ladder is flagged as non-convergent.
 
-One :func:`delta_n_total` call integrates every channel of both
-quantities at every shift together, on numpy arrays.  One density call on
-the pole-scan grid brackets the zeros of the resummed denominators, which
-are bisected all at once.  Each integral starts as the panels between the
-support edges, its bare pole and those zeros; each round of the adaptive
-loop applies QUADPACK's 21-point Gauss-Kronrod rule to every open panel of
-every integral in one density call, with the shifts as a trailing axis,
-and bisects the panels whose error estimate exceeds their share of the
-tolerance.
+Every quantity reads one channel table (:func:`_channels`), a row for each
+quantity and each channel with g_s != 0: a channel of zero weight is in no
+quantity, and its pole in no density.  One helper forms the bare and
+resummed denominators, and one real-arithmetic integrand serves
+:func:`rpa_number_density` and the quadrature.
+
+One :func:`delta_n_total` call integrates every row of the table at every
+shift together, on numpy arrays.  One density call on the pole-scan grid
+brackets the zeros of the resummed denominators, which are bisected all at
+once.  Each integral starts as the panels between the support edges, its
+bare pole and those zeros; each round of the adaptive loop applies
+QUADPACK's 21-point Gauss-Kronrod rule to every open panel of every
+integral in one density call, with the shifts as a trailing axis, and
+bisects the panels whose error estimate exceeds their share of the
+tolerance.  The ladder is checked and extrapolated as one (quantity x
+shift) array.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import QubitInitialState, SystemSpec, require_finite
-from .spectra import SpectralModel, evaluate
+from .spectra import SpectralModel
 
 __all__ = [
     "RpaConfig",
@@ -139,9 +146,45 @@ def channel_weights(spec: SystemSpec, state: QubitInitialState) -> np.ndarray:
     )
 
 
-def _detunings(spec: SystemSpec, omega: np.ndarray) -> np.ndarray:
-    """d_s(omega) = omega + E_1 - E_s, shape (..., M)."""
-    return omega[..., None] + spec.energies[0] - spec.energies[None, :]
+def _channels(spec: SystemSpec, state: QubitInitialState):
+    """The channel table: one row for each quantity of ``QUANTITIES`` and
+    each channel with g_s != 0, in that order.  Returns each row's quantity
+    index and its (c g_s, 4 g_s, slope, E_1 - E_s)."""
+    weights = channel_weights(spec, state)
+    live = weights != 0.0
+    rows = [(scale * g, 4.0 * g, slope, spec.energies[0] - energy)
+            for _, scale, slope in QUANTITIES
+            for g, energy in zip(weights[live], spec.energies[live])]
+    quantity = np.repeat(np.arange(len(QUANTITIES)), np.count_nonzero(live))
+    return quantity, np.array(rows).reshape(-1, 4)
+
+
+def _denominators(rows, omega, intensity):
+    """The bare denominator y = slope*omega + offset of rows of the channel
+    table, shaped (..., 4) to broadcast against ``omega``, and the
+    resummed one v = y - 4 g I, at ``omega`` and its ``intensity``."""
+    y = rows[..., 2] * omega + rows[..., 3]
+    v = rows[..., 1] * intensity
+    # in place: the pole scan then holds two (rows, scan points) arrays, not three
+    return y, np.subtract(y, v, out=v)
+
+
+def _integrand(rows, omega, intensity, shifts):
+    """Re[c g I / ((y + i s)(v + i s))] of each row at ``omega``, each shift
+    s on a trailing axis, in real arithmetic."""
+    y, v = _denominators(rows, omega, intensity)
+    # Re[a / ((y + i s)(v + i s))] = a (yv - s^2) / ((yv - s^2)^2 + s^2 (y + v)^2)
+    real = (y * v)[..., None] - shifts * shifts
+    imag = (y + v)[..., None] * shifts
+    return (rows[..., 0] * intensity)[..., None] * real / (real * real + imag * imag)
+
+
+def _number_rows(spec: SystemSpec, model: SpectralModel, state: QubitInitialState, omega):
+    """The N rows of the channel table, shaped (rows, 1, 4), omega
+    flattened, and I(omega)."""
+    quantity, rows = _channels(spec, state)
+    w = np.ravel(np.asarray(omega, dtype=float))
+    return rows[quantity == 0, None], w, model.density(w)
 
 
 def n_second_order(
@@ -153,15 +196,11 @@ def n_second_order(
     E_s - E_1; the divergence of the integrated total is physical at
     this order and is not regularized here.
     """
-    scalar = np.ndim(omega) == 0
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    weights = channel_weights(spec, state)
-    intensity = np.asarray(evaluate(model, w), dtype=float)
-    d = _detunings(spec, w)
+    rows, w, intensity = _number_rows(spec, model, state, omega)
+    d, _ = _denominators(rows, w, intensity)
     with np.errstate(divide="ignore"):
-        terms = 2.0 * intensity[..., None] * weights / d**2
-    out = np.sum(terms, axis=-1)
-    return float(out[0]) if scalar else out
+        out = np.sum(rows[..., 0] * intensity / d**2, axis=0).reshape(np.shape(omega))
+    return out if out.ndim else float(out)
 
 
 def rpa_number_density(
@@ -176,14 +215,9 @@ def rpa_number_density(
     With ``shift`` > 0 the real part of the shifted density is returned;
     its integral converges to the principal value as the shift vanishes.
     """
-    scalar = np.ndim(omega) == 0
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    weights = channel_weights(spec, state)
-    intensity = np.asarray(evaluate(model, w), dtype=float)
-    d = _detunings(spec, w) + 1j * shift
-    terms = 2.0 * weights * intensity[..., None] / (d * (d - 4.0 * weights * intensity[..., None]))
-    out = np.sum(np.real(terms), axis=-1)
-    return float(out[0]) if scalar else out
+    rows, w, intensity = _number_rows(spec, model, state, omega)
+    out = np.sum(_integrand(rows, w, intensity, np.array([shift])), axis=0).reshape(np.shape(omega))
+    return out if out.ndim else float(out)
 
 
 class _Ladders(NamedTuple):
@@ -199,17 +233,10 @@ def _kronrod(model: SpectralModel, a, b, coeffs, shifts):
     """Kronrod estimates and error estimates |K21 - G10| of every panel
     [a, b] at each shift, shape (panels, 2, shifts), and each panel's
     roundoff floor, from one density call.  ``coeffs`` holds each panel's
-    c*g, 4g, slope and offset."""
+    row of the channel table."""
     half = 0.5 * (b - a)
     w = (0.5 * (a + b))[:, None] + half[:, None] * _NODES
-    intensity = model.density(w)
-    numerator, four_g, slope, offset = coeffs.T[:, :, None]
-    y = slope * w + offset
-    v = y - four_g * intensity
-    # Re[a / ((y + i s)(v + i s))] = a (yv - s^2) / ((yv - s^2)^2 + s^2 (y + v)^2), s on axis 2
-    real = (y * v)[..., None] - shifts * shifts
-    imag = (y + v)[..., None] * shifts
-    f = (numerator * intensity)[..., None] * real / (real * real + imag * imag)
+    f = _integrand(coeffs[:, None], w, model.density(w), shifts)
     estimates = half[:, None, None] * (_RULES @ f)
     estimates[:, 1] = np.abs(estimates[:, 0] - estimates[:, 1])
     return estimates, _ROUNDOFF * half[:, None] * (_RULES[0] @ np.abs(f))
@@ -221,8 +248,7 @@ def _resummed_roots(model: SpectralModel, coeffs, grid, grid_density):
     rounds taken.  Every bracket is bisected at once, one density call per
     round, to 4 ulps of the root (of 2^-10 grid steps, near omega = 0); a
     zero on the grid is its own root."""
-    _, four_g, slope, offset = coeffs.T[:, :, None]
-    scanned = slope * grid + offset - four_g * grid_density
+    scanned = _denominators(coeffs[:, None], grid, grid_density)[1]
     positive = scanned > 0.0
     integral, k = np.nonzero(positive[:, 1:] != positive[:, :-1])
     left, right, rising = grid[k], grid[k + 1], positive[integral, k + 1]
@@ -232,10 +258,11 @@ def _resummed_roots(model: SpectralModel, coeffs, grid, grid_density):
     near = np.where(left * right > 0.0, np.minimum(np.abs(left), np.abs(right)), 0.0)
     ulps = 4.0 * np.finfo(float).eps * np.maximum(near, (grid[1] - grid[0]) / 1024)
     rounds = int(np.ceil(np.log2(np.max((right - left) / ulps, initial=1.0))))
-    four_g, slope, offset = four_g[integral, 0], slope[integral, 0], offset[integral, 0]
+    rows = coeffs[integral]
     for _ in range(rounds):
         mid = 0.5 * (left + right)
-        below = (slope * mid + offset > four_g * model.density(mid)) != rising
+        _, v = _denominators(rows, mid, model.density(mid))
+        below = (v > 0.0) != rising
         left = np.where(below, mid, left)
         right = np.where(below, right, mid)
     return integral, 0.5 * (left + right), rounds
@@ -245,8 +272,8 @@ def _ladders(
     spec: SystemSpec, model: SpectralModel, state: QubitInitialState, cfg: RpaConfig
 ) -> _Ladders:
     """Integrals of Re[c g I / ((y + i shift)(y + i shift - 4 g I))] over the
-    clipped support, y = slope*omega + offset, for both quantities, every
-    channel with g_s != 0 and every shift of the ladder, summed per quantity.
+    clipped support, y = slope*omega + offset, for every row of the channel
+    table and every shift of the ladder, summed per quantity.
 
     Each integral starts as the panels between the support edges, the bare
     pole y = 0 and the resummed roots.  Each round applies the Kronrod rule
@@ -256,20 +283,13 @@ def _ladders(
     their roundoff floor or can no longer be halved.  An integral that would
     grow past ``MAX_PANELS`` stops refining, and is reported unconverged.
     """
-    weights = channel_weights(spec, state)
+    quantity, coeffs = _channels(spec, state)
     lo, hi = model.support()
     lo, hi = max(lo, -cfg.omega_max), min(hi, cfg.omega_max)
     shifts = cfg.pole_shift * 0.5 ** np.arange(cfg.ladder)
-    quantity, coeffs = [], []
-    for q, (_, scale, slope) in enumerate(QUANTITIES):
-        for g, energy in zip(weights, spec.energies):
-            if g != 0.0:
-                quantity.append(q)
-                coeffs.append((scale * g, 4.0 * g, slope, spec.energies[0] - energy))
     values = np.zeros((len(QUANTITIES), cfg.ladder))
-    if not coeffs or hi <= lo:
+    if not quantity.size or hi <= lo:
         return _Ladders(values, [""] * len(QUANTITIES), 0)
-    quantity, coeffs = np.array(quantity), np.array(coeffs)
     count = len(coeffs)
 
     grid = np.linspace(lo, hi, cfg.scan_points)
@@ -312,18 +332,6 @@ def _ladders(
     return _Ladders(values, notes, rounds)
 
 
-def _richardson(values: list[float]) -> float:
-    """Limit of values taken at shifts halving each rung (leading error
-    linear in the shift); iterated first-order extrapolation."""
-    table = list(values)
-    for level in range(1, len(table)):
-        table = [
-            (2.0**level * table[k + 1] - table[k]) / (2.0**level - 1.0)
-            for k in range(len(table) - 1)
-        ]
-    return table[0]
-
-
 def delta_n_total(
     spec: SystemSpec,
     model: SpectralModel,
@@ -340,19 +348,20 @@ def delta_n_total(
     extrapolated (Delta N)^2 (regularization failure; Delta N is then NaN).
     """
     ladders = _ladders(spec, model, state, cfg)
+    values = ladders.values
+    diffs = np.abs(np.diff(values))
+    tol = 1e-12 * np.maximum(1.0, np.abs(values[:, -1:]))
+    growing = (diffs[:, 1:] > diffs[:, :-1] + tol).any(axis=1)
     warnings: list[str] = []
-    limits = []
-    for (name, _, _), values, note in zip(QUANTITIES, ladders.values, ladders.notes):
-        ladder = values.tolist()
-        diffs = [abs(ladder[k + 1] - ladder[k]) for k in range(len(ladder) - 1)]
-        tol = 1e-12 * max(1.0, abs(ladder[-1]))
-        if any(d2 > d1 + tol for d1, d2 in zip(diffs, diffs[1:])):
+    for (name, _, _), grows, note in zip(QUANTITIES, growing, ladders.notes):
+        if grows:
             warnings.append(f"{name}: pole-shift ladder is not Cauchy, extrapolation unreliable")
         if note:
             warnings.append(f"{name}: quadrature warning: {note}")
-        limits.append(_richardson(ladder))
-
-    n_total, dn2 = limits
+    # iterated first-order extrapolation: the leading error is linear in the shift
+    for level in range(1, cfg.ladder):
+        values = (2.0**level * values[:, 1:] - values[:, :-1]) / (2.0**level - 1.0)
+    n_total, dn2 = values[:, 0].tolist()
     if dn2 < 0.0:
         warnings.append(f"(Delta N)^2 = {dn2:.3e} negative after regularization")
         delta_n = float("nan")

@@ -140,6 +140,21 @@ class TestRpaDensity:
         assert abs(fine) < 100.0
         assert fine == pytest.approx(coarse, rel=1e-2)
 
+    def test_zero_weight_channel_has_no_pole(self):
+        # the two-level system keeps its third level with g = 0, whose
+        # detuning alone vanishes at omega = 2.  There both live channels
+        # have d = 2 and I = 5/2: n2 = 2 I (0.009 + 0.001) / 2^2 = 0.0125
+        spec, model = build_two_level(), Rectangular(5.0, 2.0, 1.0)
+        omega = np.array([1.9, 1.99, 2.0, 2.01, 2.1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert n_second_order(spec, model, STATE, 2.0) == 0.0125
+            values = [n_second_order(spec, model, STATE, omega)]
+            for shift in (0.0, 1e-4):
+                values.append(rpa_number_density(spec, model, STATE, 2.0, shift))
+                values.append(rpa_number_density(spec, model, STATE, omega, shift))
+        assert all(np.all(np.isfinite(v)) for v in values)
+
     def test_matches_second_order_off_resonance(self):
         spec = build_three_level()
         model = Rectangular(5.0, 12.0, 1.0)
@@ -284,6 +299,17 @@ class TestDeltaNTotal:
         assert np.all(np.abs(estimates[:, 1, 0] - np.abs(half * (f @ (kronrod - gauss)))) <= bound)
         roundoff = rpa._ROUNDOFF * half * (np.abs(f) @ kronrod)
         assert floor[:, 0] == pytest.approx(roundoff, rel=1e-12, abs=0.0)
+
+        # the public density at the same nodes, against Re[2 g I / (d (d - 4 g I))]
+        # summed over the live channels (the two-level system's third has g = 0)
+        spec = build_two_level()
+        g = channel_weights(spec, STATE)
+        live = g != 0.0
+        d = w[..., None] + (spec.energies[0] - spec.energies[live]) + 1j * shift
+        g_intensity = g[live] * intensity[..., None]
+        terms = 2.0 * g_intensity / (d * (d - 4.0 * g_intensity))
+        density = rpa_number_density(spec, model, STATE, w, shift)
+        assert np.all(np.abs(density - np.real(terms).sum(-1)) <= 1e-14 * np.abs(terms).sum(-1))
 
     @pytest.mark.parametrize("model", FAMILY_CASES, ids=FAMILY_IDS)
     def test_one_pole_scan_serves_every_shift(self, model):
