@@ -37,9 +37,9 @@ resummed denominators, and one real-arithmetic integrand serves
 
 One :func:`delta_n_total` call integrates every row of the table at every
 shift together, on numpy arrays.  One density call on the pole-scan grid
-brackets the zeros of the resummed denominators, which are bisected all at
-once.  Each integral starts as the panels between the support edges, its
-bare pole and those zeros; each round of the adaptive loop applies
+finds the scan cells in which a resummed denominator changes sign.  Each
+integral starts as the panels between the support edges, its bare pole and
+both ends of each of its cells; each round of the adaptive loop applies
 QUADPACK's 21-point Gauss-Kronrod rule to every open panel of every
 integral in one density call, with the shifts as a trailing axis, and
 bisects the panels whose error estimate exceeds their share of the
@@ -103,8 +103,9 @@ class RpaConfig:
     ``ladder`` shifts are used, each half the previous.  ``omega_max``
     bounds the integration and pole-scan window (it should lie beyond
     the spectral support; infinite supports are clipped to it).
-    ``scan_points`` is the resolution of the sign-change bracketing scan
-    that locates resummation-denominator zeros before quadrature.
+    ``scan_points`` is the resolution of the pole scan, whose cells that
+    hold a sign change of a resummed denominator start the quadrature
+    panels.
     """
 
     pole_shift: float = 1e-2
@@ -222,7 +223,7 @@ def rpa_number_density(
 
 class _Ladders(NamedTuple):
     """Each quantity's channel sum at each shift and its quadrature note ("" if
-    every integral converged); the rounds of bisection and quadrature."""
+    every integral converged); the rounds of quadrature."""
 
     values: np.ndarray
     notes: list[str]
@@ -242,30 +243,13 @@ def _kronrod(model: SpectralModel, a, b, coeffs, shifts):
     return estimates, _ROUNDOFF * half[:, None] * (_RULES[0] @ np.abs(f))
 
 
-def _resummed_roots(model: SpectralModel, coeffs, grid, grid_density):
-    """The zeros of y - 4 g I where an integral (a row of ``coeffs``)
-    changes sign on the scan grid, as (integral, root) arrays, and the
-    rounds taken.  Every bracket is bisected at once, one density call per
-    round, to 4 ulps of the root (of 2^-10 grid steps, near omega = 0); a
-    zero on the grid is its own root."""
-    scanned = _denominators(coeffs[:, None], grid, grid_density)[1]
-    positive = scanned > 0.0
+def _brackets(coeffs, grid, grid_density):
+    """The scan cells [grid[k], grid[k + 1]] in which y - 4 g I of an
+    integral (a row of ``coeffs``) changes sign, as (integral, cell ends)
+    arrays, the ends shaped (cells, 2)."""
+    positive = _denominators(coeffs[:, None], grid, grid_density)[1] > 0.0
     integral, k = np.nonzero(positive[:, 1:] != positive[:, :-1])
-    left, right, rising = grid[k], grid[k + 1], positive[integral, k + 1]
-    right = np.where(scanned[integral, k] == 0.0, left, right)
-    left = np.where(scanned[integral, k + 1] == 0.0, right, left)
-    # |root| >= min(|left|, |right|) unless the bracket holds omega = 0
-    near = np.where(left * right > 0.0, np.minimum(np.abs(left), np.abs(right)), 0.0)
-    ulps = 4.0 * np.finfo(float).eps * np.maximum(near, (grid[1] - grid[0]) / 1024)
-    rounds = int(np.ceil(np.log2(np.max((right - left) / ulps, initial=1.0))))
-    rows = coeffs[integral]
-    for _ in range(rounds):
-        mid = 0.5 * (left + right)
-        _, v = _denominators(rows, mid, model.density(mid))
-        below = (v > 0.0) != rising
-        left = np.where(below, mid, left)
-        right = np.where(below, right, mid)
-    return integral, 0.5 * (left + right), rounds
+    return integral, grid[np.stack([k, k + 1], axis=-1)]
 
 
 def _ladders(
@@ -276,12 +260,15 @@ def _ladders(
     table and every shift of the ladder, summed per quantity.
 
     Each integral starts as the panels between the support edges, the bare
-    pole y = 0 and the resummed roots.  Each round applies the Kronrod rule
-    to every panel still open, all integrals and shifts in one density
-    call, and bisects the panels whose error estimate exceeds their width's
-    share of max(EPSABS, EPSREL |I|) at some shift, unless they sit at
-    their roundoff floor or can no longer be halved.  An integral that would
-    grow past ``MAX_PANELS`` stops refining, and is reported unconverged.
+    pole y = 0 and both ends of each scan cell in which y - 4 g I changes
+    sign: a resummed root then lies inside a panel one scan step wide, which
+    the loop bisects as its error estimate requires.  Each round applies the
+    Kronrod rule to every panel still open, all integrals and shifts in one
+    density call, and bisects the panels whose error estimate exceeds their
+    width's share of max(EPSABS, EPSREL |I|) at some shift, unless they sit
+    at their roundoff floor or can no longer be halved.  An integral that
+    would grow past ``MAX_PANELS`` stops refining, and is reported
+    unconverged.
     """
     quantity, coeffs = _channels(spec, state)
     lo, hi = model.support()
@@ -293,10 +280,10 @@ def _ladders(
     count = len(coeffs)
 
     grid = np.linspace(lo, hi, cfg.scan_points)
-    root_of, roots, rounds = _resummed_roots(model, coeffs, grid, model.density(grid))
+    cell_of, cells = _brackets(coeffs, grid, model.density(grid))
     a, b, integral = [], [], []
     for n, (_, _, slope, offset) in enumerate(coeffs):
-        cuts = np.append(roots[root_of == n], -offset / slope)
+        cuts = np.append(cells[cell_of == n], -offset / slope)
         edges = [lo, *np.unique(cuts[(lo < cuts) & (cuts < hi)]).tolist(), hi]
         a, b, integral = a + edges[:-1], b + edges[1:], integral + [n] * (len(edges) - 1)
     a, b, integral = np.array(a), np.array(b), np.array(integral)
@@ -304,6 +291,7 @@ def _ladders(
     # each integral's Kronrod and error sums over its retired panels, and its panel count
     retired = np.zeros((count, 2, cfg.ladder))
     held = np.bincount(integral, minlength=count)
+    rounds = 0
     while a.size:
         estimates, floor = _kronrod(model, a, b, coeffs[integral], shifts)
         rounds += 1

@@ -21,7 +21,6 @@ from mlsbath.rpa import (
     rpa_number_density,
 )
 from mlsbath.spectra import Lorentzian, PowerGaussian, Rectangular, evaluate
-from scipy.optimize import brentq
 from scipy.special import roots_legendre
 
 from oracles import graded_ladder
@@ -67,6 +66,15 @@ DEFAULT_SHIFTS = [RpaConfig().pole_shift * 0.5**k for k in range(RpaConfig().lad
 def _case_id(case) -> str:
     spec, model = case
     return f"{spec.energies.size}-level {model!r}"
+
+
+# each case at the default config, and three-level Lor(5,1.5,1), whose
+# resummed roots lie near omega = 0, on a ladder from a 100 times smaller shift
+ORACLE_INPUTS = [pytest.param(spec, model, RpaConfig(), id=_case_id((spec, model)))
+                 for spec, model in ORACLE_CASES] + [
+    pytest.param(build_three_level(), Lorentzian(5.0, 1.5, 1.0), RpaConfig(pole_shift=1e-4),
+                 id="3-level Lorentzian(5.0, 1.5, 1.0)-pole_shift=1e-4"),
+]
 
 
 class TestChannelWeights:
@@ -208,12 +216,11 @@ class TestDeltaNTotal:
         assert n_quad == pytest.approx(n_ref, rel=1e-5)
         assert dn2_quad == pytest.approx(dn2_ref, rel=1e-5)
 
-    @pytest.mark.parametrize("spec, model", ORACLE_CASES, ids=map(_case_id, ORACLE_CASES))
-    def test_ladder_matches_graded_oracle(self, spec, model):
+    @pytest.mark.parametrize("spec, model, cfg", ORACLE_INPUTS)
+    def test_ladder_matches_graded_oracle(self, spec, model, cfg):
         # each rung of both quantities.  Where the channel sums cancel to
         # 1e-5 (Rect(5,0,100)), rounding leaves about 1e-14: the oracle's
         # own variants (60 nodes, ratio 1.2) differ from it by that much
-        cfg = RpaConfig()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ladders = rpa._ladders(spec, model, STATE, cfg)
@@ -239,7 +246,7 @@ class TestDeltaNTotal:
         [
             # a resummed root about 1e-4 from a bare pole
             (Lorentzian(5.0, 8.0, 1.0), 6),
-            # roots near omega = 0, where the bisection stops at 2^-10 grid steps
+            # roots near omega = 0
             (Lorentzian(5.0, 1.5, 1.0), 6),
             (PowerGaussian(5.0, 0.0, 1.0), 2),
             (PowerGaussian(5 * PI, -1.0, 2.5), 2),
@@ -248,22 +255,24 @@ class TestDeltaNTotal:
         ],
         ids=repr,
     )
-    def test_resummed_roots_to_a_few_ulps(self, model, count):
+    def test_brackets_are_sign_change_cells(self, model, count):
+        # each cell is two adjacent scan points, between which y - 4 g I,
+        # recomputed here from the public weights and density, changes sign
         spec = build_three_level()
         g = channel_weights(spec, STATE)
         coeffs = np.array([(2.0 * g[s], 4.0 * g[s], slope, spec.energies[0] - spec.energies[s])
                            for slope in (1.0, 2.0) for s in range(3)])
         grid = np.linspace(-1000.0, 1000.0, 10_000)
-        step = grid[1] - grid[0]
-        integral, roots, _ = rpa._resummed_roots(model, coeffs, grid, model.density(grid))
-        assert len(roots) >= count
-        for n, root in zip(integral, roots):
+        integral, cells = rpa._brackets(coeffs, grid, model.density(grid))
+        assert cells.shape == (len(integral), 2)
+        assert len(cells) >= count
+        for n, (left, right) in zip(integral, cells):
+            k = np.searchsorted(grid, left)
+            assert grid[k] == left and grid[k + 1] == right
             _, four_g, slope, offset = coeffs[n]
-            f = lambda w: slope * w + offset - four_g * evaluate(model, w)
-            k = np.searchsorted(grid, root)
-            expected = brentq(f, grid[k - 1], grid[k], xtol=1e-300, rtol=1e-15)
-            # 4 ulps each for the bisection and for brentq's rtol
-            assert abs(root - expected) <= 8 * np.spacing(max(abs(expected), step / 1024))
+            ends = np.array([left, right])
+            v = slope * ends + offset - four_g * np.asarray(evaluate(model, ends))
+            assert (v[0] > 0.0) != (v[1] > 0.0)
 
     @pytest.mark.parametrize("shift", DEFAULT_SHIFTS)
     def test_kronrod_integrand_matches_complex128(self, shift):
@@ -325,7 +334,7 @@ class TestDeltaNTotal:
     @pytest.mark.parametrize("model", FAMILY_CASES, ids=FAMILY_IDS)
     def test_density_called_on_arrays_once_per_round(self, monkeypatch, model):
         # every channel, both quantities and every shift share one density
-        # call per round of root bisection or quadrature, after the scan
+        # call per round of quadrature, after the scan
         inputs = []
         density = type(model).density
 
